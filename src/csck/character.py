@@ -25,12 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import binomial
-from .polynomials import MultiPoly3, UniPoly
-
-
-class InvariantViolation(RuntimeError):
-    """A proven identity failed: an implementation bug, never bad input."""
+from .exact import InvariantViolation, binomial
+from .polynomials import MultiPoly3, UniPoly, int_convolve, int_power_table
 
 
 @dataclass(frozen=True)
@@ -257,19 +253,6 @@ def _check_eps(eps: int) -> None:
         raise ValueError(f"eps must be -1, 0 or +1, got {eps}")
 
 
-def _int_poly_pow_table(const: int, lin: int, top: int) -> list[list[int]]:
-    # powers of (lin*t + const) as integer coefficient lists, degrees 0..top
-    table = [[1]]
-    for _ in range(top):
-        prev = table[-1]
-        nxt = [0] * (len(prev) + 1)
-        for k, v in enumerate(prev):
-            nxt[k] += v * const
-            nxt[k + 1] += v * lin
-        table.append(nxt)
-    return table
-
-
 def localized_component_poly(d: Dims, fc: FixedComponent, eps: int, cls: KahlerClass) -> UniPoly:
     """One fixed component's share of the localized sum, as a polynomial in
     the evaluation parameter (degree <= m + n + 2).
@@ -284,9 +267,9 @@ def localized_component_poly(d: Dims, fc: FixedComponent, eps: int, cls: KahlerC
     _check_component(d, fc, cls)
     m, n = d.m, d.n
     top = m + n + 2
-    pow_k = _int_poly_pow_table(-fc.r * eps, fc.kappa, top)
-    pow_r = _int_poly_pow_table(-fc.a * eps, fc.rho, m)
-    pow_t = _int_poly_pow_table(-fc.b * eps, fc.tau, top)
+    pow_k = int_power_table(-fc.r * eps, fc.kappa, top)
+    pow_r = int_power_table(-fc.a * eps, fc.rho, m)
+    pow_t = int_power_table(-fc.b * eps, fc.tau, top)
     acc = [0] * (top + 1)
     for s in range(m + n + 1):
         for q in range(m + 1):
@@ -299,26 +282,10 @@ def localized_component_poly(d: Dims, fc: FixedComponent, eps: int, cls: KahlerC
             )
             if c == 0:
                 continue
-            prod = _int_convolve3(pow_k[top - s], pow_r[m - q], pow_t[s - m + q])
+            prod = int_convolve(int_convolve(pow_k[top - s], pow_r[m - q]), pow_t[s - m + q])
             for k, v in enumerate(prod):
                 acc[k] += c * v
     return UniPoly(acc)
-
-
-def _int_convolve3(a: list[int], b: list[int], c: list[int]) -> list[int]:
-    ab = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    ab[i + j] += ai * bj
-    out = [0] * (len(ab) + len(c) - 1)
-    for i, vi in enumerate(ab):
-        if vi:
-            for j, cj in enumerate(c):
-                if cj:
-                    out[i + j] += vi * cj
-    return out
 
 
 def localized_sum_poly(d: Dims, eps: int, cls: KahlerClass) -> UniPoly:
@@ -338,12 +305,12 @@ def localized_sum_poly_direct(d: Dims, eps: int, cls: KahlerClass) -> UniPoly:
     lam, mu, nu = (int(v) for v in cls)
     m, n = d.m, d.n
     top = m + n + 2
-    pow1k = _int_poly_pow_table(-eps, mu, top)
-    pow1r = _int_poly_pow_table(-m * eps, lam - nu, m)
-    pow1t = _int_poly_pow_table(-(n + 2) * eps, mu, top)
-    pow2k = _int_poly_pow_table(-eps, -mu + nu, top)
-    pow2r = _int_poly_pow_table(-(m + 2) * eps, lam, m)
-    pow2t = _int_poly_pow_table(-n * eps, mu - nu, top)
+    pow1k = int_power_table(-eps, mu, top)
+    pow1r = int_power_table(-m * eps, lam - nu, m)
+    pow1t = int_power_table(-(n + 2) * eps, mu, top)
+    pow2k = int_power_table(-eps, -mu + nu, top)
+    pow2r = int_power_table(-(m + 2) * eps, lam, m)
+    pow2t = int_power_table(-n * eps, mu - nu, top)
     acc = [0] * (top + 1)
     for s in range(m + n + 1):
         for q in range(m + 1):
@@ -351,8 +318,8 @@ def localized_sum_poly_direct(d: Dims, eps: int, cls: KahlerClass) -> UniPoly:
             if c == 0:
                 continue
             sgn1 = (-1) ** (m + n + s + 1)
-            t1 = _int_convolve3(pow1k[top - s], pow1r[m - q], pow1t[s - m + q])
-            t2 = _int_convolve3(pow2k[top - s], pow2r[m - q], pow2t[s - m + q])
+            t1 = int_convolve(int_convolve(pow1k[top - s], pow1r[m - q]), pow1t[s - m + q])
+            t2 = int_convolve(int_convolve(pow2k[top - s], pow2r[m - q]), pow2t[s - m + q])
             for k, v in enumerate(t1):
                 acc[k] += c * sgn1 * v
             for k, v in enumerate(t2):

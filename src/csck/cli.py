@@ -15,12 +15,14 @@ import argparse
 import json
 import sys
 from datetime import datetime, timezone
+from fractions import Fraction
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from . import __version__, cone, verification
 from .character import Dims, InvariantViolation, KahlerClass, compute_obstruction, slope
-from .cone import CSV_HEADER, DEFAULT_WIDTH, SIGN_NAMES
-from .exact import parse_rational
+from .cone import DEFAULT_WIDTH, SIGN_NAMES
+from .exact import parse_rational, sign
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -44,6 +46,13 @@ def _parse_range(text: str) -> tuple[int, int]:
     if lo > hi:
         raise ValueError(f"empty range {text!r}")
     return lo, hi
+
+
+def _parse_width(text: str | None) -> Fraction:
+    width = DEFAULT_WIDTH if text is None else parse_rational(text)
+    if width <= 0:
+        raise ValueError("--width must be positive")
+    return width
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,48 +109,60 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _meta(args: argparse.Namespace, params: dict) -> dict:
-    return {
-        "tool": "csck",
-        "version": __version__,
-        "command": args.command,
-        "params": params,
-        "generated_at": datetime.now(timezone.utc).isoformat(),
-    }
+def _emit(args: argparse.Namespace, params: dict, body: dict | list[str]) -> None:
+    """Write a report: a JSON object, or text lines (plain or CSV).
 
-
-def _emit(args: argparse.Namespace, text: str) -> None:
+    The run-metadata header goes first unless ``--no-meta`` is set: a
+    ``meta`` key for JSON, ``# key=value`` comment lines for text.
+    """
+    if not args.no_meta:
+        meta = {
+            "tool": "csck",
+            "version": __version__,
+            "command": args.command,
+            "params": params,
+            "generated_at": datetime.now(timezone.utc).isoformat(),
+        }
+        if isinstance(body, dict):
+            body = {"meta": meta, **body}
+        else:
+            header = [f"# {k}={meta[k]}" for k in ("tool", "version", "command", "generated_at")]
+            body = header + [f"# params={json.dumps(params)}"] + body
+    text = json.dumps(body, indent=2) + "\n" if isinstance(body, dict) else "\n".join(body) + "\n"
     if args.out is not None:
         args.out.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
-def _emit_json(args: argparse.Namespace, payload: dict, params: dict) -> None:
-    if not args.no_meta:
-        payload = {"meta": _meta(args, params), **payload}
-    _emit(args, json.dumps(payload, indent=2) + "\n")
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
 
 
-def _meta_lines(args: argparse.Namespace, params: dict) -> list[str]:
-    if args.no_meta:
-        return []
-    meta = _meta(args, params)
-    return [f"# {k}={meta[k]}" for k in ("tool", "version", "command", "generated_at")] + [
-        f"# params={json.dumps(params)}"
-    ]
+def _csv(header: Sequence[str], rows: Iterable[dict]) -> list[str]:
+    """A header line and one line per row, each row's cells read by column name."""
+    return [",".join(header)] + [",".join(_cell(row[k]) for k in header) for row in rows]
+
+
+def _approx(args: argparse.Namespace, **values) -> dict:
+    """``<name>_approx`` float fields beside the exact ones, only under ``--approx``."""
+    if not args.approx:
+        return {}
+    return {
+        f"{name}_approx": None if v is None else [float(c) for c in v] if isinstance(v, tuple) else float(v)
+        for name, v in values.items()
+    }
 
 
 def _cmd_character(args: argparse.Namespace) -> int:
-    d = Dims(args.m, args.n)
-    polys = compute_obstruction(d)
-    params = {"m": args.m, "n": args.n}
-    if args.format == "json":
-        _emit_json(args, polys.to_json(), params)
-    else:
-        lines = _meta_lines(args, params)
-        lines.append(str(polys.F))
-        _emit(args, "\n".join(lines) + "\n")
+    polys = compute_obstruction(Dims(args.m, args.n))
+    _emit(args, {"m": args.m, "n": args.n}, polys.to_json() if args.format == "json" else [str(polys.F)])
     return EXIT_OK
 
 
@@ -149,7 +170,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     d = Dims(args.m, args.n)
     cls = _parse_class(args.cls)
     value = compute_obstruction(d).F.evaluate(cls)
-    sgn = 1 if value > 0 else (-1 if value < 0 else 0)
     mu = slope(d, cls) if cls.x * cls.y * cls.z != 0 else None
     region = cone.in_kahler_triangle(d, cls)
     if value != 0:
@@ -160,47 +180,28 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         csck = None  # F vanishes but the class is not certified Kahler
     params = {"m": args.m, "n": args.n, "class": [str(v) for v in cls]}
     payload = {
-        "m": args.m,
-        "n": args.n,
-        "class": [str(v) for v in cls],
+        **params,
         "F": str(value),
         "mu": None if mu is None else str(mu),
-        "sign": SIGN_NAMES[sgn],
+        "sign": SIGN_NAMES[sign(value)],
         "kahler_region": region,
         "cscK_in_class": csck,
+        **_approx(args, F=value, mu=mu),
     }
-    if args.approx:
-        payload["F_approx"] = float(value)
-        payload["mu_approx"] = None if mu is None else float(mu)
     if args.format == "json":
-        _emit_json(args, payload, params)
+        body = payload
     elif args.format == "csv":
-        header = "m,n,x,y,z,F,mu,sign,kahler_region,cscK_in_class"
-        row = [
-            str(args.m),
-            str(args.n),
-            str(cls.x),
-            str(cls.y),
-            str(cls.z),
-            str(value),
-            "" if mu is None else str(mu),
-            SIGN_NAMES[sgn],
-            region,
-            "" if csck is None else ("true" if csck else "false"),
-        ]
-        if args.approx:
-            header += ",F_approx,mu_approx"
-            row += [repr(float(value)), "" if mu is None else repr(float(mu))]
-        lines = _meta_lines(args, params) + [header, ",".join(row)]
-        _emit(args, "\n".join(lines) + "\n")
+        header = ("m", "n", "x", "y", "z", "F", "mu", "sign", "kahler_region", "cscK_in_class")
+        header += ("F_approx", "mu_approx") if args.approx else ()
+        body = _csv(header, [{**payload, **dict(zip("xyz", payload["class"]))}])
     else:
-        lines = _meta_lines(args, params)
-        for key in ("F", "mu", "sign", "kahler_region", "cscK_in_class"):
-            lines.append(f"{key} = {payload[key]}")
-        if args.approx:
-            lines.append(f"F_approx = {payload['F_approx']}")
-        _emit(args, "\n".join(lines) + "\n")
+        keys = ("F", "mu", "sign", "kahler_region", "cscK_in_class", "F_approx")
+        body = [f"{key} = {payload[key]}" for key in keys if key in payload]
+    _emit(args, params, body)
     return EXIT_OK
+
+
+_SCAN_COLUMNS = ("m", "n", "limit_l1", "limit_l2", "F_at_c1", "ke_admissible", "sign_change_found", "paper_backed")
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -208,48 +209,26 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     n_lo, n_hi = _parse_range(args.n_range)
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
-    width = DEFAULT_WIDTH if args.width is None else parse_rational(args.width)
-    if width <= 0:
-        raise ValueError("--width must be positive")
     rows = cone.scan_range(
-        m_lo, m_hi, n_lo, n_hi, all_pairs=args.all_pairs, jobs=args.jobs, width=width
+        m_lo, m_hi, n_lo, n_hi, all_pairs=args.all_pairs, jobs=args.jobs, width=_parse_width(args.width)
     )
     params = {
         "m": f"{m_lo}..{m_hi}",
         "n": f"{n_lo}..{n_hi}",
         "all_pairs": args.all_pairs,
     }
+    objs = [
+        {**row.to_json(), **_approx(args, limit_l1=row.limit1, limit_l2=row.limit2, F_at_c1=row.f_at_c1)}
+        for row in rows
+    ]
     if args.format == "json":
-        json_rows = []
-        for row in rows:
-            obj = row.to_json()
-            if args.approx:
-                obj["limit_l1_approx"] = float(row.limit1)
-                obj["limit_l2_approx"] = float(row.limit2)
-                obj["F_at_c1_approx"] = float(row.f_at_c1)
-            json_rows.append(obj)
-        _emit_json(args, {"rows": json_rows}, params)
+        body = {"rows": objs}
     elif args.format == "csv":
-        header = CSV_HEADER
-        if args.approx:
-            header += ",limit_l1_approx,limit_l2_approx,F_at_c1_approx"
-        lines = _meta_lines(args, params) + [header]
-        for row in rows:
-            fields = row.csv_fields()
-            if args.approx:
-                fields += [repr(float(row.limit1)), repr(float(row.limit2)), repr(float(row.f_at_c1))]
-            lines.append(",".join(fields))
-        _emit(args, "\n".join(lines) + "\n")
+        approx = ("limit_l1_approx", "limit_l2_approx", "F_at_c1_approx") if args.approx else ()
+        body = _csv(_SCAN_COLUMNS + approx, objs)
     else:
-        lines = _meta_lines(args, params)
-        for row in rows:
-            lines.append(
-                f"m={row.m} n={row.n} limit_l1={row.limit1} limit_l2={row.limit2} "
-                f"F_at_c1={row.f_at_c1} ke_admissible={str(row.ke_admissible).lower()} "
-                f"sign_change_found={str(row.sign_change_found).lower()} "
-                f"paper_backed={str(row.paper_backed).lower()}"
-            )
-        _emit(args, "\n".join(lines) + "\n")
+        body = [" ".join(f"{k}={_cell(obj[k])}" for k in _SCAN_COLUMNS) for obj in objs]
+    _emit(args, params, body)
     return EXIT_OK
 
 
@@ -257,9 +236,7 @@ def _cmd_locate(args: argparse.Namespace) -> int:
     d = Dims(args.m, args.n)
     start = _parse_class(args.start)
     end = _parse_class(args.end)
-    width = DEFAULT_WIDTH if args.width is None else parse_rational(args.width)
-    if width <= 0:
-        raise ValueError("--width must be positive")
+    width = _parse_width(args.width)
     report = cone.isolate_on_segment(d, start, end, width)
     params = {
         "m": args.m,
@@ -269,75 +246,54 @@ def _cmd_locate(args: argparse.Namespace) -> int:
         "width": str(width),
     }
     if args.format == "json":
-        payload = report.to_json()
-        if args.approx:
-            for interval_obj, root in zip(payload["intervals"], report.roots):
-                interval_obj["lo_approx"] = float(root.interval.lo)
-                interval_obj["hi_approx"] = float(root.interval.hi)
-                interval_obj["midpoint_class_approx"] = [float(v) for v in root.midpoint_class]
-        _emit_json(args, payload, params)
+        body = report.to_json()
+        for obj, root in zip(body["intervals"], report.roots):
+            obj.update(_approx(args, lo=root.interval.lo, hi=root.interval.hi, midpoint_class=root.midpoint_class))
     else:
-        lines = _meta_lines(args, params)
-        lines.append(f"sign_from = {SIGN_NAMES[report.sign_start]}")
-        lines.append(f"sign_to = {SIGN_NAMES[report.sign_end]}")
+        body = [f"sign_from = {SIGN_NAMES[report.sign_start]}", f"sign_to = {SIGN_NAMES[report.sign_end]}"]
         if report.identically_zero:
-            lines.append("identically zero along the segment")
+            body.append("identically zero along the segment")
         elif not report.roots:
-            lines.append("no roots in (0, 1)")
+            body.append("no roots in (0, 1)")
         for root in report.roots:
             inside = "inside certified triangle" if root.inside_certified else "Kahler status unknown"
-            lines.append(
+            body.append(
                 f"root in ({root.interval.lo}, {root.interval.hi}); "
                 f"midpoint class {root.midpoint_class}; {inside}"
             )
-        _emit(args, "\n".join(lines) + "\n")
+    _emit(args, params, body)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     results = verification.run_checks(deep=args.deep)
-    params = {"deep": args.deep}
     failed = [r for r in results if not r.passed]
     if args.format == "json":
-        _emit_json(args, {"results": [r.to_json() for r in results], "failures": len(failed)}, params)
+        body = {"results": [r.to_json() for r in results], "failures": len(failed)}
     else:
-        lines = _meta_lines(args, params)
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            lines.append(f"{status} {r.name}: {r.detail} [{r.elapsed:.2f}s]")
-        lines.append(f"{len(results) - len(failed)}/{len(results)} checks passed")
-        _emit(args, "\n".join(lines) + "\n")
+        body = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail} [{r.elapsed:.2f}s]" for r in results]
+        body.append(f"{len(results) - len(failed)}/{len(results)} checks passed")
+    _emit(args, {"deep": args.deep}, body)
     return EXIT_VERIFY if failed else EXIT_OK
 
 
 def _cmd_sample_face(args: argparse.Namespace) -> int:
-    d = Dims(args.m, args.n)
-    samples = cone.sample_face(d, args.resolution)
+    samples = cone.sample_face(Dims(args.m, args.n), args.resolution)
     params = {"m": args.m, "n": args.n, "resolution": args.resolution}
     if args.format == "json":
-        sample_objs = []
-        for s in samples:
-            obj = s.to_json()
-            if args.approx:
-                obj["point_approx"] = [float(s.point.x), float(s.point.y), float(s.point.z)]
-            sample_objs.append(obj)
-        _emit_json(args, {"samples": sample_objs}, params)
+        body = {"samples": [{**s.to_json(), **_approx(args, point=s.point.as_class())} for s in samples]}
     elif args.format == "csv":
-        header = "x,y,z,sign,region"
-        if args.approx:
-            header += ",x_approx,y_approx,z_approx"
-        lines = _meta_lines(args, params) + [header]
+        header = ("x", "y", "z", "sign", "region") + (("x_approx", "y_approx", "z_approx") if args.approx else ())
+        rows = []
         for s in samples:
-            row = f"{s.point.x},{s.point.y},{s.point.z},{SIGN_NAMES[s.sign]},{s.region}"
-            if args.approx:
-                row += f",{float(s.point.x)!r},{float(s.point.y)!r},{float(s.point.z)!r}"
-            lines.append(row)
-        _emit(args, "\n".join(lines) + "\n")
+            coords = dict(zip("xyz", s.point.as_class()))
+            rows.append({**coords, "sign": SIGN_NAMES[s.sign], "region": s.region, **_approx(args, **coords)})
+        body = _csv(header, rows)
     else:
-        lines = _meta_lines(args, params)
-        for s in samples:
-            lines.append(f"({s.point.x}, {s.point.y}, {s.point.z}) sign={SIGN_NAMES[s.sign]} region={s.region}")
-        _emit(args, "\n".join(lines) + "\n")
+        body = [
+            f"({s.point.x}, {s.point.y}, {s.point.z}) sign={SIGN_NAMES[s.sign]} region={s.region}" for s in samples
+        ]
+    _emit(args, params, body)
     return EXIT_OK
 
 

@@ -255,18 +255,6 @@ class ScanRow:
     witness_end: KahlerClass | None = None
     witness_intervals: tuple[RootInterval, ...] = ()
 
-    def csv_fields(self) -> list[str]:
-        return [
-            str(self.m),
-            str(self.n),
-            str(self.limit1),
-            str(self.limit2),
-            str(self.f_at_c1),
-            "true" if self.ke_admissible else "false",
-            "true" if self.sign_change_found else "false",
-            "true" if self.paper_backed else "false",
-        ]
-
     def to_json(self) -> dict:
         obj = {
             "m": self.m,
@@ -286,8 +274,6 @@ class ScanRow:
             }
         return obj
 
-
-CSV_HEADER = "m,n,limit_l1,limit_l2,F_at_c1,ke_admissible,sign_change_found,paper_backed"
 
 _WITNESS_HALVINGS = 20
 

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: binomials, factorials, powers, rational strings.
+"""Exact scalar arithmetic: binomials, factorials, rational strings.
 
 Everything in this package computes with arbitrary-precision integers and
 exact rationals (``fractions.Fraction``).  No floating point enters any
@@ -8,6 +8,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+
+class InvariantViolation(RuntimeError):
+    """A proven identity failed: an implementation bug, never bad input."""
 
 
 def binomial(n: int, k: int) -> int:
@@ -36,14 +40,6 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
-def int_pow(base: Fraction | int, e: int) -> Fraction:
-    """Exact integer power of a rational; 0**0 is 1, 0**negative is an error."""
-    b = Fraction(base)
-    if b == 0 and e < 0:
-        raise ValueError("zero cannot be raised to a negative power")
-    return b**e
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse the canonical "p/q" (or plain integer) string form."""
     try:
@@ -51,11 +47,6 @@ def parse_rational(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
     return value
-
-
-def format_rational(value: Fraction | int) -> str:
-    """Canonical string form: decimal integer, or "p/q" in lowest terms."""
-    return str(Fraction(value))
 
 
 def sign(value: Fraction | int) -> int:

@@ -18,7 +18,7 @@ the closed forms rely on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -36,16 +36,17 @@ from .polynomials import TruncSeries2
 
 
 @dataclass(frozen=True)
-class Verdict:
+class CheckResult:
     """Outcome of one verification check, serializable as a report row."""
 
-    check: str
-    params: dict
+    name: str
     passed: bool
-    witness: str
+    detail: str
+    elapsed: float = 0.0
+    params: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {"check": self.check, "params": self.params, "pass": self.passed, "witness": self.witness}
+        return {"check": self.name, "params": self.params, "pass": self.passed, "witness": self.detail}
 
 
 # -- series route -------------------------------------------------------------
@@ -335,7 +336,7 @@ def lambda_at_one(d: Dims, s: int, j: int, c0: int, delta: int) -> Fraction:
     return num[den_order] / den[den_order]
 
 
-def lambda_sum_check(p: int, d: Dims, s: int, j: int, c0: int, delta: int) -> Verdict:
+def lambda_sum_check(p: int, d: Dims, s: int, j: int, c0: int, delta: int) -> CheckResult:
     """Check that -sum_k Lambda_j(alpha_p^k) is an integer congruent mod p to
     the limit value Lambda_j(1)."""
     _require_odd_prime(p)
@@ -347,15 +348,17 @@ def lambda_sum_check(p: int, d: Dims, s: int, j: int, c0: int, delta: int) -> Ve
         raise InvariantViolation(f"summed Lambda value is not an integer: {value}")
     reference = lambda_at_one(d, s, j, c0, delta)
     passed = (-int(value) - int(reference)) % p == 0
-    return Verdict(
-        check="lambda_sum_congruence",
+    return CheckResult(
+        "lambda_sum_congruence",
+        passed,
+        str(int(value)),
         params={"p": p, "m": d.m, "n": d.n, "s": s, "j": j, "c": c0, "delta": delta},
-        passed=passed,
-        witness=str(int(value)),
     )
 
 
-def t_sum_congruence_check(p: int, d: Dims, fc: FixedComponent, eps: int, zeta: int, cls: KahlerClass) -> Verdict:
+def t_sum_congruence_check(
+    p: int, d: Dims, fc: FixedComponent, eps: int, zeta: int, cls: KahlerClass
+) -> CheckResult:
     """Recompute one component's root-of-unity sum from the pre-reduction
     display and check it against the reduced closed form modulo p.
 
@@ -392,8 +395,10 @@ def t_sum_congruence_check(p: int, d: Dims, fc: FixedComponent, eps: int, zeta: 
         raise InvariantViolation(f"root-of-unity T-sum is not an integer: {total}")
     reference = localized_component_poly(d, fc, eps, cls).evaluate(zeta)
     passed = (int(total) - int(reference)) % p == 0
-    return Verdict(
-        check="t_sum_congruence",
+    return CheckResult(
+        "t_sum_congruence",
+        passed,
+        str(int(total)),
         params={
             "p": p,
             "m": m,
@@ -403,6 +408,4 @@ def t_sum_congruence_check(p: int, d: Dims, fc: FixedComponent, eps: int, zeta: 
             "zeta": zeta,
             "cls": [str(v) for v in cls],
         },
-        passed=passed,
-        witness=str(int(total)),
     )

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .exact import general_binomial
+from .exact import InvariantViolation, general_binomial
 
 Exponent3 = tuple[int, int, int]
 
@@ -212,22 +212,12 @@ class MultiPoly3:
         for exp in self._terms:
             for i in range(3):
                 max_e[i] = max(max_e[i], exp[i])
-        pows: list[list[list[int]]] = []
-        for (a, b), top in zip(lines, max_e):
-            table = [[1]]
-            for _ in range(top):
-                prev = table[-1]
-                nxt = [0] * (len(prev) + 1)
-                for k, v in enumerate(prev):
-                    nxt[k] += v * a
-                    nxt[k + 1] += v * b
-                table.append(nxt)
-            pows.append(table)
+        pows = [int_power_table(a, b, top) for (a, b), top in zip(lines, max_e)]
 
         deg = self.total_degree()
         acc = [Fraction(0)] * (deg + 1)
         for (ex, ey, ez), c in self._terms.items():
-            conv = _int_convolve(_int_convolve(pows[0][ex], pows[1][ey]), pows[2][ez])
+            conv = int_convolve(int_convolve(pows[0][ex], pows[1][ey]), pows[2][ez])
             f = c / Fraction(scale) ** (ex + ey + ez)
             for k, v in enumerate(conv):
                 if v:
@@ -255,7 +245,21 @@ Y = MultiPoly3.monomial((0, 1, 0))
 Z = MultiPoly3.monomial((0, 0, 1))
 
 
-def _int_convolve(a: list[int], b: list[int]) -> list[int]:
+def int_power_table(const: int, lin: int, top: int) -> list[list[int]]:
+    """Powers 0..top of (const + lin*t) as integer coefficient lists."""
+    table = [[1]]
+    for _ in range(top):
+        prev = table[-1]
+        nxt = [0] * (len(prev) + 1)
+        for k, v in enumerate(prev):
+            nxt[k] += v * const
+            nxt[k + 1] += v * lin
+        table.append(nxt)
+    return table
+
+
+def int_convolve(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer coefficient lists."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -422,7 +426,8 @@ def square_free_part(p: UniPoly) -> UniPoly:
     if g.degree <= 0:
         return p
     q, r = p.divmod(g)
-    assert r.is_zero()
+    if not r.is_zero():
+        raise InvariantViolation(f"gcd(p, p') of degree {g.degree} does not divide p of degree {p.degree}")
     return q
 
 
@@ -578,7 +583,6 @@ class RootInterval:
 
     lo: Fraction
     hi: Fraction
-    multiplicity_free: bool = True
 
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
@@ -706,7 +710,8 @@ def sturm_isolate(
         while True:
             a, b = c - rad, c + rad
             if q_sign(a) != 0 and q_sign(b) != 0 and roots_in(a, b) == 1:
-                assert q_sign(a) != q_sign(b)
+                if q_sign(a) == q_sign(b):
+                    raise InvariantViolation(f"Sturm count 1 on ({a}, {b}) without a sign change")
                 found.append(RootInterval(a, b))
                 return a, b
             rad /= 2
@@ -717,7 +722,8 @@ def sturm_isolate(
             return
         sa, sb = q_sign(a), q_sign(b)
         if n == 1 and b - a <= width and sa != 0 and sb != 0:
-            assert sa != sb
+            if sa == sb:
+                raise InvariantViolation(f"Sturm count 1 on ({a}, {b}) without a sign change")
             found.append(RootInterval(a, b))
             return
         if n == 1 and sb == 0 and b - a <= width:

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 from . import cone, localization
 from .character import (
@@ -34,6 +33,7 @@ from .character import (
     slope,
 )
 from .exact import factorial
+from .localization import CheckResult
 from .polynomials import UniPoly, count_roots, square_free_part, sturm_chain, sturm_isolate
 
 SAMPLE_SEED = 74215093
@@ -55,20 +55,11 @@ GOLDEN_F_1_2 = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    elapsed: float
-
-    def to_json(self) -> dict:
-        return {
-            "check": self.name,
-            "params": {},
-            "pass": self.passed,
-            "witness": self.detail,
-        }
+def _result(name: str, start: float, bad: list, ok: str, shown: str | None = None) -> CheckResult:
+    """The check passes when ``bad`` is empty; ``elapsed`` runs from ``start``
+    to now.  A failed check reports ``shown``, by default every failure."""
+    detail = ok if not bad else (f"failures: {bad}" if shown is None else shown)
+    return CheckResult(name, not bad, detail, time.perf_counter() - start)
 
 
 def _backed_pairs() -> list[tuple[int, int]]:
@@ -85,16 +76,9 @@ def _random_classes(rng: random.Random, count: int) -> list[KahlerClass]:
 def check_golden_polynomial() -> CheckResult:
     """F for (m, n) = (1, 2) equals the golden 13-term polynomial exactly."""
     start = time.perf_counter()
-    F = compute_obstruction(Dims(1, 2)).F
-    expected = {e: Fraction(c) for e, c in GOLDEN_F_1_2.items()}
-    actual = dict(F.terms())
-    passed = actual == expected
-    return CheckResult(
-        "golden_polynomial_1_2",
-        passed,
-        "13 terms match" if passed else f"mismatch: {actual}",
-        time.perf_counter() - start,
-    )
+    actual = dict(compute_obstruction(Dims(1, 2)).F.terms())
+    bad = [] if actual == GOLDEN_F_1_2 else [actual]
+    return _result("golden_polynomial_1_2", start, bad, "13 terms match", f"mismatch: {actual}")
 
 
 def check_limit_signs() -> CheckResult:
@@ -107,24 +91,14 @@ def check_limit_signs() -> CheckResult:
             bad.append((m, n, "l1"))
         if not cone.limit_l2(d) > 0:
             bad.append((m, n, "l2"))
-    return CheckResult(
-        "limit_signs_45_pairs",
-        not bad,
-        "45 pairs: l1 < 0 and l2 > 0" if not bad else f"failures: {bad}",
-        time.perf_counter() - start,
-    )
+    return _result("limit_signs_45_pairs", start, bad, "45 pairs: l1 < 0 and l2 > 0")
 
 
 def check_ke_nonvanishing() -> CheckResult:
     """F(m+2, n+2, 2) != 0 for all 45 pairs."""
     start = time.perf_counter()
     bad = [(m, n) for m, n in _backed_pairs() if cone.ke_check(Dims(m, n)).ke_admissible]
-    return CheckResult(
-        "anticanonical_nonvanishing_45_pairs",
-        not bad,
-        "45 pairs: F(c1) != 0" if not bad else f"failures: {bad}",
-        time.perf_counter() - start,
-    )
+    return _result("anticanonical_nonvanishing_45_pairs", start, bad, "45 pairs: F(c1) != 0")
 
 
 def check_assembly_identity() -> CheckResult:
@@ -143,12 +117,8 @@ def check_assembly_identity() -> CheckResult:
                 count += 1
                 if assemble_from_localization(d, cls) != scale * F.evaluate(cls):
                     bad.append((m, n, cls))
-    return CheckResult(
-        "localization_assembly_identity",
-        not bad,
-        f"{count} (dims, class) samples agree exactly" if not bad else f"failures: {bad[:3]}",
-        time.perf_counter() - start,
-    )
+    ok = f"{count} (dims, class) samples agree exactly"
+    return _result("localization_assembly_identity", start, bad, ok, f"failures: {bad[:3]}")
 
 
 def check_localized_sum_structure() -> CheckResult:
@@ -176,12 +146,8 @@ def check_localized_sum_structure() -> CheckResult:
                         monomial = UniPoly([0] * (m + n + 2) + [gv])
                         if s != monomial:
                             bad.append((m, n, cls, "monomial"))
-    return CheckResult(
-        "localized_sum_structure",
-        not bad,
-        "g / -eps*h coefficients and direct path agree" if not bad else f"failures: {bad[:3]}",
-        time.perf_counter() - start,
-    )
+    ok = "g / -eps*h coefficients and direct path agree"
+    return _result("localized_sum_structure", start, bad, ok, f"failures: {bad[:3]}")
 
 
 def check_series_oracle() -> CheckResult:
@@ -201,12 +167,8 @@ def check_series_oracle() -> CheckResult:
                         ctx = localization.build_series_context(d, fc, eps, zeta, cls)
                         if localization.series_component_value(ctx) != closed.evaluate(zeta):
                             bad.append((m, n, fc.index, eps, zeta, cls))
-    return CheckResult(
-        "series_oracle_equivalence",
-        not bad,
-        "series route equals closed forms on the full grid" if not bad else f"failures: {bad[:3]}",
-        time.perf_counter() - start,
-    )
+    ok = "series route equals closed forms on the full grid"
+    return _result("series_oracle_equivalence", start, bad, ok, f"failures: {bad[:3]}")
 
 
 def check_alternating_power_sum_table() -> CheckResult:
@@ -218,12 +180,7 @@ def check_alternating_power_sum_table() -> CheckResult:
             expected = 2**k * factorial(k) if l == k else 0
             if alternating_power_sum(k, l) != expected:
                 bad.append((k, l))
-    return CheckResult(
-        "alternating_power_sum_table",
-        not bad,
-        "table reproduced for k <= 12" if not bad else f"failures: {bad}",
-        time.perf_counter() - start,
-    )
+    return _result("alternating_power_sum_table", start, bad, "table reproduced for k <= 12")
 
 
 def check_vanishing_orders() -> CheckResult:
@@ -248,12 +205,7 @@ def check_vanishing_orders() -> CheckResult:
             bad.append((m, n, "ord l2", f_l2.order()))
         elif f_l2.coefficient(2) != cone.limit_l2(d):
             bad.append((m, n, "lead l2"))
-    return CheckResult(
-        "vanishing_orders_45_pairs",
-        not bad,
-        "orders n+3 / 2 with matching leading coefficients" if not bad else f"failures: {bad}",
-        time.perf_counter() - start,
-    )
+    return _result("vanishing_orders_45_pairs", start, bad, "orders n+3 / 2 with matching leading coefficients")
 
 
 def check_root_isolation() -> CheckResult:
@@ -283,12 +235,8 @@ def check_root_isolation() -> CheckResult:
         chain = sturm_chain(squarefree)
         if count_roots(chain, Fraction(0), Fraction(1)) != len(result.intervals):
             problems.append("interval count != Sturm count")
-    return CheckResult(
-        "root_isolation_soundness",
-        not problems,
-        "sign-change segment isolates its roots" if not problems else "; ".join(problems),
-        time.perf_counter() - start,
-    )
+    ok = "sign-change segment isolates its roots"
+    return _result("root_isolation_soundness", start, problems, ok, "; ".join(problems))
 
 
 def check_structural_properties() -> CheckResult:
@@ -314,12 +262,7 @@ def check_structural_properties() -> CheckResult:
         d = Dims(rng.randint(1, 10), rng.randint(1, 10))
         if slope(d, anticanonical_class(d)) != 1:
             bad.append((d.m, d.n, "slope"))
-    return CheckResult(
-        "structural_properties",
-        not bad,
-        "integrality, homogeneity, z | F, anticanonical slope 1" if not bad else f"failures: {bad}",
-        time.perf_counter() - start,
-    )
+    return _result("structural_properties", start, bad, "integrality, homogeneity, z | F, anticanonical slope 1")
 
 
 def check_cyclotomic_congruences() -> CheckResult:
@@ -345,12 +288,8 @@ def check_cyclotomic_congruences() -> CheckResult:
                                     lv = localization.lambda_sum_check(p, d, s, j, c0, fc.delta)
                                     if not lv.passed:
                                         bad.append(lv.params)
-    return CheckResult(
-        "cyclotomic_congruences",
-        not bad,
-        "mod-p reduction verified in exact cyclotomic arithmetic" if not bad else f"failures: {bad[:3]}",
-        time.perf_counter() - start,
-    )
+    ok = "mod-p reduction verified in exact cyclotomic arithmetic"
+    return _result("cyclotomic_congruences", start, bad, ok, f"failures: {bad[:3]}")
 
 
 STANDARD_CHECKS: tuple[Callable[[], CheckResult], ...] = (
@@ -369,12 +308,5 @@ STANDARD_CHECKS: tuple[Callable[[], CheckResult], ...] = (
 DEEP_CHECKS: tuple[Callable[[], CheckResult], ...] = (check_cyclotomic_congruences,)
 
 
-def run_checks(deep: bool = False, report: Callable[[CheckResult], None] | None = None) -> list[CheckResult]:
-    checks: Iterable[Callable[[], CheckResult]] = STANDARD_CHECKS + (DEEP_CHECKS if deep else ())
-    results = []
-    for check in checks:
-        result = check()
-        if report is not None:
-            report(result)
-        results.append(result)
-    return results
+def run_checks(deep: bool = False) -> list[CheckResult]:
+    return [check() for check in STANDARD_CHECKS + (DEEP_CHECKS if deep else ())]

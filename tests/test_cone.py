@@ -165,12 +165,6 @@ class TestScan:
     def test_default_excludes_equal_dims(self):
         assert scan_range(3, 3, 3, 3) == []
 
-    def test_csv_fields_shape(self):
-        row = scan_pair(1, 2)
-        fields = row.csv_fields()
-        assert fields[:2] == ["1", "2"]
-        assert fields[5:] == ["false", "true", "true"]
-
     def test_parallel_scan_is_deterministic(self):
         sequential = [r.to_json() for r in scan_range(1, 3, 2, 4)]
         parallel = [r.to_json() for r in scan_range(1, 3, 2, 4, jobs=2)]

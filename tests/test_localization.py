@@ -130,12 +130,12 @@ class TestCongruences:
     def test_frozen_witness_small(self):
         verdict = lambda_sum_check(3, Dims(1, 1), 2, 0, 1, 1)
         assert verdict.passed
-        assert verdict.witness == "2"
+        assert verdict.detail == "2"
 
     def test_frozen_witness_p5(self):
         verdict = lambda_sum_check(5, Dims(1, 2), 1, 2, 2, -1)
         assert verdict.passed
-        assert verdict.witness == "-4"
+        assert verdict.detail == "-4"
 
     def test_composite_p_rejected(self):
         with pytest.raises(ValueError):

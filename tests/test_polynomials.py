@@ -213,6 +213,15 @@ class TestUniPoly:
         assert sf.degree == 2
         assert sf.evaluate(1) == 0 and sf.evaluate(-2) == 0
 
+    def test_square_free_part_non_divisor_gcd_is_invariant_violation(self, monkeypatch):
+        # a proven identity, so it must fail loudly also under python -O
+        from csck import polynomials
+        from csck.character import InvariantViolation
+
+        monkeypatch.setattr(polynomials, "poly_gcd", lambda a, b: UniPoly([1, 1]))
+        with pytest.raises(InvariantViolation):
+            square_free_part(UniPoly([0, 0, 1]))
+
     def test_json_round_trip(self):
         p = UniPoly([Fraction(1, 2), 0, -3])
         assert UniPoly.from_json_terms(p.to_json_terms()) == p
