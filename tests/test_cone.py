@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from csck.character import Dims, KahlerClass
+from csck.cli import main
 from csck.cone import (
     FacePoint,
     REGION_BOUNDARY,
@@ -164,6 +165,14 @@ class TestScan:
 
     def test_default_excludes_equal_dims(self):
         assert scan_range(3, 3, 3, 3) == []
+
+    def test_csv_fields_shape(self, capsys):
+        assert main(["scan", "--m", "1..1", "--n", "2..2", "--format", "csv", "--no-meta"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 2
+        fields = lines[1].split(",")
+        assert fields[:2] == ["1", "2"]
+        assert fields[5:] == ["false", "true", "true"]
 
     def test_parallel_scan_is_deterministic(self):
         sequential = [r.to_json() for r in scan_range(1, 3, 2, 4)]
