@@ -379,8 +379,8 @@ class FaceSample:
 def sample_face(d: Dims, resolution: int) -> list[FaceSample]:
     """Signs and region labels on the interior lattice of the face:
     points (i, j, k)/R with i + j + k = R and i, j, k >= 1."""
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    if resolution < 3:
+        raise ValueError(f"resolution must be at least 3, the first with an interior point, got {resolution}")
     samples = []
     for i in range(1, resolution - 1):
         for j in range(1, resolution - i):

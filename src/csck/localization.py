@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 from typing import Sequence
 
 from .character import (
@@ -86,19 +88,25 @@ def build_series_context(d: Dims, fc: FixedComponent, eps: int, zeta: int, cls: 
     return SeriesContext(d, fc, eps, int(zeta), cls, beta, gamma, cap, phi, psi)
 
 
+def _series_powers(ctx: SeriesContext) -> tuple[TruncSeries2, list[TruncSeries2], list[TruncSeries2]]:
+    """(1+x)^m (1+y)^n and the powers 0..m+n of Phi and of Psi."""
+    cap = ctx.truncation
+    base = TruncSeries2.binomial_series(ctx.dims.m, ctx.dims.n, cap)
+    phi_pows = [TruncSeries2.constant(1, cap)]
+    psi_pows = [TruncSeries2.constant(1, cap)]
+    for _ in range(cap):
+        phi_pows.append(phi_pows[-1] * ctx.phi)
+        psi_pows.append(psi_pows[-1] * ctx.psi)
+    return base, phi_pows, psi_pows
+
+
 def series_component_value(ctx: SeriesContext) -> Fraction:
     """The component's localized contribution at the context's evaluation
     point, via coefficient extraction; must equal the closed-form polynomial
     of :func:`csck.character.localized_component_poly` evaluated there."""
     d, fc = ctx.dims, ctx.fc
     m, n = d.m, d.n
-    cap = ctx.truncation
-    base = TruncSeries2.binomial_series(m, n, cap)
-    phi_pows = [TruncSeries2.constant(1, cap)]
-    psi_pows = [TruncSeries2.constant(1, cap)]
-    for _ in range(m + n):
-        phi_pows.append(phi_pows[-1] * ctx.phi)
-        psi_pows.append(psi_pows[-1] * ctx.psi)
+    base, phi_pows, psi_pows = _series_powers(ctx)
     c0 = ctx.zeta * fc.kappa - ctx.eps * fc.r
     total = Fraction(0)
     for s in range(m + n + 1):
@@ -123,20 +131,41 @@ def _require_odd_prime(p: int) -> None:
         f += 2
 
 
+def _fold(p: int, raw: Sequence[int]) -> list[int]:
+    """Reduce coefficients of 1, t, t^2, ... to the basis 1, ..., t^(p-2):
+    fold with t^p = 1, then eliminate t^(p-1) = -(1 + t + ... + t^(p-2))."""
+    folded = [0] * p
+    for e, c in enumerate(raw):
+        folded[e % p] += c
+    top = folded[p - 1]
+    return [c - top for c in folded[: p - 1]]
+
+
 class CycloElement:
     """Element of Q(alpha_p), represented in the basis 1, t, ..., t^(p-2) of
-    Q[t]/(1 + t + ... + t^(p-1)).  Nonzero elements are invertible."""
+    Q[t]/(1 + t + ... + t^(p-1)) as integer numerators over one positive
+    denominator in lowest terms, so equal elements have equal fields.
+    Nonzero elements are invertible."""
 
-    __slots__ = ("p", "coeffs")
+    __slots__ = ("p", "nums", "den")
 
     def __init__(self, p: int, coeffs: Sequence[Fraction | int] = ()):
         _require_odd_prime(p)
         cs = [Fraction(c) for c in coeffs]
         if len(cs) > p - 1:
             raise ValueError("coefficient vector longer than p - 1")
-        cs.extend([Fraction(0)] * (p - 1 - len(cs)))
-        self.p = p
-        self.coeffs = tuple(cs)
+        # over the lcm of lowest-terms denominators the vector is in lowest terms
+        den = lcm(*(c.denominator for c in cs))
+        self.p, self.den = p, den
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in cs) + (0,) * (p - 1 - len(cs))
+
+    @classmethod
+    def _make(cls, p: int, nums: Sequence[int], den: int) -> "CycloElement":
+        """The element nums / den for a positive den, brought to lowest terms."""
+        out = cls.__new__(cls)
+        g = gcd(den, *nums)
+        out.p, out.nums, out.den = p, tuple(c // g for c in nums), den // g
+        return out
 
     @classmethod
     def rational(cls, p: int, value: Fraction | int) -> "CycloElement":
@@ -145,13 +174,8 @@ class CycloElement:
     @classmethod
     def root_power(cls, p: int, e: int) -> "CycloElement":
         """alpha_p^e for any integer e (exponents live mod p)."""
-        e %= p
-        if e < p - 1:
-            coeffs = [Fraction(0)] * (p - 1)
-            coeffs[e] = Fraction(1)
-            return cls(p, coeffs)
-        # t^(p-1) = -(1 + t + ... + t^(p-2))
-        return cls(p, [Fraction(-1)] * (p - 1))
+        _require_odd_prime(p)
+        return cls._make(p, _fold(p, [0] * (e % p) + [1]), 1)
 
     def _check(self, other: "CycloElement") -> None:
         if self.p != other.p:
@@ -159,33 +183,26 @@ class CycloElement:
 
     def __add__(self, other: "CycloElement") -> "CycloElement":
         self._check(other)
-        return CycloElement(self.p, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "CycloElement") -> "CycloElement":
-        self._check(other)
-        return CycloElement(self.p, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        nums = [a * other.den + b * self.den for a, b in zip(self.nums, other.nums)]
+        return CycloElement._make(self.p, nums, self.den * other.den)
 
     def __neg__(self) -> "CycloElement":
-        return CycloElement(self.p, [-a for a in self.coeffs])
+        return CycloElement._make(self.p, [-a for a in self.nums], self.den)
+
+    def __sub__(self, other: "CycloElement") -> "CycloElement":
+        return self + -other
 
     def __mul__(self, other: "CycloElement | Fraction | int") -> "CycloElement":
         if isinstance(other, (int, Fraction)):
-            return CycloElement(self.p, [a * other for a in self.coeffs])
+            q = Fraction(other)
+            return CycloElement._make(self.p, [a * q.numerator for a in self.nums], self.den * q.denominator)
         self._check(other)
-        p = self.p
-        raw = [Fraction(0)] * (2 * p - 3)
-        for i, a in enumerate(self.coeffs):
+        raw = [0] * (2 * self.p - 3)
+        for i, a in enumerate(self.nums):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        raw[i + j] += a * b
-        # fold with t^p = 1, then eliminate t^(p-1)
-        folded = [Fraction(0)] * p
-        for e, c in enumerate(raw):
-            folded[e % p] += c
-        top = folded[p - 1]
-        out = [c - top for c in folded[: p - 1]]
-        return CycloElement(p, out)
+                for j, b in enumerate(other.nums):
+                    raw[i + j] += a * b
+        return CycloElement._make(self.p, _fold(self.p, raw), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -202,72 +219,41 @@ class CycloElement:
                 base = base * base
         return result
 
+    def conjugate(self, k: int) -> "CycloElement":
+        """The Galois automorphism sigma_k: alpha_p -> alpha_p^k, for k prime to p."""
+        if k % self.p == 0:
+            raise ValueError(f"sigma_k needs k prime to p={self.p}, got k={k}")
+        raw = [0] * self.p
+        for e, c in enumerate(self.nums):
+            raw[k * e % self.p] += c
+        return CycloElement._make(self.p, _fold(self.p, raw), self.den)
+
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
-            raise InvariantViolation(f"cyclotomic element is not rational: {self.coeffs}")
-        return self.coeffs[0]
+            raise InvariantViolation(f"cyclotomic element is not rational: {self!r}")
+        return Fraction(self.nums[0], self.den)
 
     def inverse(self) -> "CycloElement":
-        """Multiplicative inverse via the extended Euclidean algorithm against
-        the cyclotomic polynomial."""
+        """Multiplicative inverse prod_{k=2}^{p-1} sigma_k(a) / N(a), where the
+        Galois norm N(a) = a * prod_{k=2}^{p-1} sigma_k(a) must be rational."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        p = self.p
-        modulus = [Fraction(1)] * p  # 1 + t + ... + t^(p-1)
-        r0, r1 = modulus, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def trim(v: list[Fraction]) -> list[Fraction]:
-            while v and v[-1] == 0:
-                v.pop()
-            return v
-
-        r1 = trim(r1)
-        while True:
-            r0, r1 = trim(list(r0)), trim(list(r1))
-            if len(r1) == 0:
-                raise ZeroDivisionError("element shares a factor with the modulus")
-            if len(r1) == 1:
-                inv = [c / r1[0] for c in s1]
-                return CycloElement(p, self._reduce_mod(inv))
-            quot = [Fraction(0)] * (len(r0) - len(r1) + 1) if len(r0) >= len(r1) else []
-            rem = list(r0)
-            for i in range(len(rem) - 1, len(r1) - 2, -1):
-                if i - (len(r1) - 1) < 0:
-                    break
-                c = rem[i]
-                if c:
-                    q = c / r1[-1]
-                    quot[i - (len(r1) - 1)] = q
-                    for j, rv in enumerate(r1):
-                        rem[i - (len(r1) - 1) + j] -= q * rv
-            new_s = list(s0) + [Fraction(0)] * max(0, len(quot) + len(s1) - 1 - len(s0))
-            for i, qi in enumerate(quot):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        new_s[i + j] -= qi * sj
-            r0, r1 = r1, rem
-            s0, s1 = s1, new_s
-
-    def _reduce_mod(self, coeffs: list[Fraction]) -> list[Fraction]:
-        p = self.p
-        folded = [Fraction(0)] * p
-        for e, c in enumerate(coeffs):
-            folded[e % p] += c
-        top = folded[p - 1]
-        return [c - top for c in folded[: p - 1]]
+        cofactor = CycloElement.rational(self.p, 1)
+        for k in range(2, self.p):
+            cofactor = cofactor * self.conjugate(k)
+        return cofactor * (1 / (self * cofactor).rational_value())
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, CycloElement) and self.p == other.p and self.coeffs == other.coeffs
+        return isinstance(other, CycloElement) and (self.p, self.nums, self.den) == (other.p, other.nums, other.den)
 
     def __repr__(self) -> str:
-        return f"CycloElement(p={self.p}, {list(self.coeffs)!r})"
+        return f"CycloElement(p={self.p}, {list(self.nums)!r} / {self.den})"
 
 
 def _lambda_at_root(p: int, k: int, d: Dims, s: int, c0: int, delta: int, j: int) -> CycloElement:
@@ -336,22 +322,29 @@ def lambda_at_one(d: Dims, s: int, j: int, c0: int, delta: int) -> Fraction:
     return num[den_order] / den[den_order]
 
 
-def lambda_sum_check(p: int, d: Dims, s: int, j: int, c0: int, delta: int) -> CheckResult:
-    """Check that -sum_k Lambda_j(alpha_p^k) is an integer congruent mod p to
-    the limit value Lambda_j(1)."""
-    _require_odd_prime(p)
+@lru_cache(maxsize=None)
+def _root_sum(p: int, d: Dims, s: int, j: int, c0: int, delta: int) -> int:
+    """-sum_{k=1}^{p-1} Lambda_j(alpha_p^k), summed literally in Q(alpha_p);
+    the sum must come out rational and integral."""
     total = CycloElement.rational(p, 0)
     for k in range(1, p):
         total = total + _lambda_at_root(p, k, d, s, c0, delta, j)
     value = total.rational_value()
     if value.denominator != 1:
         raise InvariantViolation(f"summed Lambda value is not an integer: {value}")
+    return -int(value)
+
+
+def lambda_sum_check(p: int, d: Dims, s: int, j: int, c0: int, delta: int) -> CheckResult:
+    """Check that -sum_k Lambda_j(alpha_p^k) is an integer congruent mod p to
+    the limit value Lambda_j(1)."""
+    value = _root_sum(p, d, s, j, c0, delta)
     reference = lambda_at_one(d, s, j, c0, delta)
-    passed = (-int(value) - int(reference)) % p == 0
+    passed = (value - int(reference)) % p == 0
     return CheckResult(
         "lambda_sum_congruence",
         passed,
-        str(int(value)),
+        str(-value),
         params={"p": p, "m": d.m, "n": d.n, "s": s, "j": j, "c": c0, "delta": delta},
     )
 
@@ -367,30 +360,16 @@ def t_sum_congruence_check(
     point, must be divisible by p.
     """
     _require_odd_prime(p)
-    _check_eps(eps)
-    _check_component(d, fc, cls)
     m, n = d.m, d.n
-    cap = m + n
     c0 = zeta * fc.kappa - eps * fc.r
-    ctx = build_series_context(d, fc, eps, zeta, cls)
-    base = TruncSeries2.binomial_series(m, n, cap)
-    phi_pows = [TruncSeries2.constant(1, cap)]
-    psi_pows = [TruncSeries2.constant(1, cap)]
-    for _ in range(cap):
-        phi_pows.append(phi_pows[-1] * ctx.phi)
-        psi_pows.append(psi_pows[-1] * ctx.psi)
-
+    base, phi_pows, psi_pows = _series_powers(build_series_context(d, fc, eps, zeta, cls))
     total = Fraction(0)
     for s in range(m + n + 1):
         psi_part = base * psi_pows[s]
         for j in range(m + n - s + 1):
             extracted = (psi_part * phi_pows[j]).coefficient((m, n))
-            if extracted == 0:
-                continue
-            root_sum = CycloElement.rational(p, 0)
-            for k in range(1, p):
-                root_sum = root_sum + _lambda_at_root(p, k, d, s, c0, fc.delta, j)
-            total += binomial(m + n + 2, s) * Fraction(-1) * root_sum.rational_value() * extracted
+            if extracted:
+                total += binomial(m + n + 2, s) * _root_sum(p, d, s, j, c0, fc.delta) * extracted
     if total.denominator != 1:
         raise InvariantViolation(f"root-of-unity T-sum is not an integer: {total}")
     reference = localized_component_poly(d, fc, eps, cls).evaluate(zeta)

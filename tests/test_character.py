@@ -76,9 +76,17 @@ class TestObstruction:
             assert F.evaluate(point.scaled(2)) == 2**7 * F.evaluate(point)
 
     def test_divisible_by_z(self):
-        for m, n in ((1, 2), (2, 2), (3, 4)):
-            F = compute_obstruction(Dims(m, n)).F
-            assert all(e[2] >= 1 for e, _ in F.terms())
+        # z^2 divides F and z^3 does not, for every 1 <= m, n <= 10
+        for m in range(1, 11):
+            for n in range(1, 11):
+                F = compute_obstruction(Dims(m, n)).F
+                assert min(e[2] for e, _ in F.terms()) == 2, (m, n)
+
+    def test_vanishes_at_anticanonical_class_exactly_when_m_equals_n(self):
+        for m in range(1, 11):
+            for n in range(1, 11):
+                d = Dims(m, n)
+                assert (compute_obstruction(d).F.evaluate(anticanonical_class(d)) == 0) == (m == n), (m, n)
 
     def test_integer_coefficients(self):
         for m, n in ((1, 3), (5, 2)):

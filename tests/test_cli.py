@@ -119,6 +119,14 @@ def test_sample_face_csv(capsys):
     assert lines[1] == "1/3,1/3,1/3,negative,outside"
 
 
+def test_sample_face_resolution_without_interior_point_is_usage_error(capsys):
+    # i + j + k = 2 with i, j, k >= 1 has no solution: refuse instead of printing a bare header
+    code, out, err = run(capsys, "sample-face", "-m", "1", "-n", "2", "--resolution", "2", "--no-meta")
+    assert code == 2
+    assert out == ""
+    assert "resolution must be at least 3" in err
+
+
 def test_meta_header_present_by_default(capsys):
     code, out, _ = run(capsys, "evaluate", "-m", "1", "-n", "2", "--class", "3,4,2", "--format", "json")
     obj = json.loads(out)

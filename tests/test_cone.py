@@ -204,5 +204,6 @@ class TestSampleFace:
             assert s.point.x + s.point.y + s.point.z == 1
 
     def test_low_resolution_rejected(self):
-        with pytest.raises(ValueError):
-            sample_face(Dims(1, 2), 1)
+        for resolution in (1, 2):
+            with pytest.raises(ValueError):
+                sample_face(Dims(1, 2), resolution)

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csck.character import Dims, KahlerClass, fixed_components, localized_component_poly
 from csck.localization import (
@@ -109,6 +116,47 @@ class TestCycloElement:
         assert not CycloElement.root_power(5, 2).is_rational()
 
 
+_T = sympy.Symbol("t")
+_DIFFERENTIAL = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def _field_elements(draw, count):
+    """A prime p in {3, 5, 7, 11, 13} and `count` nonzero elements of Q(alpha_p)."""
+    p = draw(st.sampled_from((3, 5, 7, 11, 13)))
+    coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+    vectors = st.lists(coeffs, min_size=p - 1, max_size=p - 1).filter(any)
+    return p, [CycloElement(p, draw(vectors)) for _ in range(count)]
+
+
+def _as_sympy(e):
+    return sum(sympy.Rational(c, e.den) * _T**i for i, c in enumerate(e.nums))
+
+
+class TestCycloElementAgainstSympy:
+    """The Galois-norm inverse and the conjugations against sympy's extended
+    Euclid modulo the cyclotomic polynomial."""
+
+    @_DIFFERENTIAL
+    @given(_field_elements(1))
+    def test_inverse_matches_sympy_invert(self, drawn):
+        p, (e,) = drawn
+        expected = sympy.invert(_as_sympy(e), sympy.cyclotomic_poly(p, _T), _T)
+        assert sympy.expand(_as_sympy(e.inverse()) - expected) == 0
+
+    @_DIFFERENTIAL
+    @given(_field_elements(2), st.integers(min_value=1, max_value=12))
+    def test_conjugate_is_multiplicative(self, drawn, k):
+        p, (a, b) = drawn
+        k = k % (p - 1) + 1
+        assert (a * b).conjugate(k) == a.conjugate(k) * b.conjugate(k)
+        assert a.conjugate(1) == a
+
+    def test_conjugate_rejects_multiples_of_p(self):
+        with pytest.raises(ValueError):
+            CycloElement.root_power(5, 1).conjugate(10)
+
+
 class TestLambdaLimit:
     def test_zero_below_diagonal(self):
         assert lambda_at_one(Dims(1, 2), 1, 0, 4, -1) == 0
@@ -124,6 +172,30 @@ class TestLambdaLimit:
     def test_out_of_range_j_rejected(self):
         with pytest.raises(ValueError):
             lambda_at_one(Dims(1, 1), 0, 3, 1, 1)
+
+
+# Lambda_j forced to 1/2 at the first root and 0 at the others: the root sum
+# 1/2 is not an integer, so both checks must raise instead of returning a
+# verdict.  (1/2 at every root would sum to the integer (p-1)/2.)
+_NON_INTEGRAL_ROOT_SUM = """
+from fractions import Fraction
+from csck import localization as L
+from csck.character import Dims, InvariantViolation, KahlerClass, fixed_components
+
+L._lambda_at_root = lambda p, k, *_: L.CycloElement.rational(p, Fraction(1, 2) if k == 1 else 0)
+d, cls = Dims(1, 1), KahlerClass(1, 1, 1)
+checks = {
+    "lambda_sum_check": lambda: L.lambda_sum_check(3, d, 2, 0, 1, 1),
+    "t_sum_congruence_check": lambda: L.t_sum_congruence_check(3, d, fixed_components(d, cls)[0], 0, 1, cls),
+}
+for name, check in checks.items():
+    try:
+        print(name, "returned", check())
+    except InvariantViolation as exc:
+        print(name, "raised", exc)
+        continue
+    raise SystemExit(1)
+"""
 
 
 class TestCongruences:
@@ -175,6 +247,16 @@ class TestCongruences:
         first = fixed_components(d, cls)[0]
         with pytest.raises(ValueError):
             t_sum_congruence_check(9, d, first, 0, 1, cls)
+
+    @pytest.mark.parametrize("flags", [(), ("-O",)])
+    def test_non_integral_root_sum_rejected(self, flags):
+        # a fresh interpreter, so the patch meets a cold root-sum cache; under
+        # -O as well, so the raise cannot be an assert statement
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        cmd = [sys.executable, *flags, "-c", _NON_INTEGRAL_ROOT_SUM]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_verdict_serialization(self):
         verdict = lambda_sum_check(3, Dims(1, 1), 2, 0, 1, 1)
