@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="evaluate F, the slope and the region label at one class")
     p.add_argument("-m", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--class", dest="cls", required=True, help="x,y,z with rational entries")
+    p.add_argument("--class", dest="cls", required=True, help="x,y,z, each P/Q, an integer or a decimal")
     add_common(p, ("json", "text", "csv"))
 
     p = sub.add_parser("scan", help="batch verdicts over dimension pairs")
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--n", dest="n_range", required=True, help="range a..b (or single value)")
     p.add_argument("--all-pairs", action="store_true", help="include pairs with m >= n")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers (result is order-independent)")
-    p.add_argument("--width", default=None, help="witness isolation width (rational, default 1/2^20)")
+    p.add_argument("--width", default=None, help="witness isolation width P/Q (default 1/2^20)")
     add_common(p, ("csv", "json", "text"))
 
     p = sub.add_parser("locate", help="isolate zero classes of F on a segment")
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--from", dest="start", required=True, help="segment start x,y,z")
     p.add_argument("--to", dest="end", required=True, help="segment end x,y,z")
-    p.add_argument("--width", default=None, help="isolation width (rational, default 1/2^20)")
+    p.add_argument("--width", default=None, help="isolation width P/Q (default 1/2^20)")
     add_common(p, ("json", "text"))
 
     p = sub.add_parser("verify", help="run the verification battery")
@@ -130,7 +130,10 @@ def _emit(args: argparse.Namespace, params: dict, body: dict | list[str]) -> Non
             body = header + [f"# params={json.dumps(params)}"] + body
     text = json.dumps(body, indent=2) + "\n" if isinstance(body, dict) else "\n".join(body) + "\n"
     if args.out is not None:
-        args.out.write_text(text, encoding="utf-8")
+        try:
+            args.out.write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -154,10 +157,14 @@ def _approx(args: argparse.Namespace, **values) -> dict:
     """``<name>_approx`` float fields beside the exact ones, only under ``--approx``."""
     if not args.approx:
         return {}
-    return {
-        f"{name}_approx": None if v is None else [float(c) for c in v] if isinstance(v, tuple) else float(v)
-        for name, v in values.items()
-    }
+    out = {}
+    for name, v in values.items():
+        try:
+            approx = [float(c) for c in v] if isinstance(v, tuple) else None if v is None else float(v)
+        except OverflowError:
+            raise ValueError(f"--approx: {name} is beyond float range") from None
+        out[f"{name}_approx"] = approx
+    return out
 
 
 def _cmd_character(args: argparse.Namespace) -> int:

@@ -41,7 +41,13 @@ def factorial(n: int) -> int:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the canonical "p/q" (or plain integer) string form."""
+    """Parse "P/Q", an integer or a decimal.
+
+    Exponent notation is refused: ``Fraction("1e1000000000")`` would build a
+    billion-digit integer before any size check could run.
+    """
+    if "e" in text.lower():
+        raise ValueError(f"not a rational (write P/Q, not exponent notation): {text!r}")
     try:
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -10,7 +10,9 @@ Three value types cover every algebraic need of the package:
   degree, exact on every retained coefficient.
 
 Real roots of a ``UniPoly`` are isolated with Sturm chains on the square-free
-part; all arithmetic is exact, so the isolation is a proof, not a heuristic.
+part.  The gcd, the division and the Sturm remainders are one integer
+primitive remainder sequence; all arithmetic is exact, so the isolation is a
+proof, not a heuristic.
 
 Canonical term order is graded lexicographic, largest first (total degree,
 then exponent tuple); serialization and printing follow it, so output is
@@ -229,10 +231,6 @@ class MultiPoly3:
     def to_json_terms(self) -> list[dict]:
         return [{"e": list(e), "c": str(c)} for e, c in self.terms()]
 
-    @classmethod
-    def from_json_terms(cls, obj: Iterable[dict]) -> "MultiPoly3":
-        return cls({tuple(t["e"]): Fraction(t["c"]) for t in obj})
-
     def __str__(self) -> str:
         return _format_terms(self.terms(), _VARS3)
 
@@ -272,22 +270,13 @@ def int_convolve(a: list[int], b: list[int]) -> list[int]:
 class UniPoly:
     """Dense exact univariate polynomial; coefficient i multiplies t^i."""
 
-    __slots__ = ("_coeffs", "var")
+    __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable[Fraction | int] = (), var: str = "t"):
+    def __init__(self, coeffs: Iterable[Fraction | int] = ()):
         cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
-        self.var = var
-
-    @classmethod
-    def zero(cls, var: str = "t") -> "UniPoly":
-        return cls((), var)
-
-    @classmethod
-    def constant(cls, value: Fraction | int, var: str = "t") -> "UniPoly":
-        return cls((value,), var)
 
     @property
     def degree(self) -> int:
@@ -322,33 +311,33 @@ class UniPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return UniPoly(out, self.var)
+        return UniPoly(out)
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self._coeffs], self.var)
+        return UniPoly([-c for c in self._coeffs])
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
 
     def __mul__(self, other: "UniPoly | Fraction | int") -> "UniPoly":
         if isinstance(other, (int, Fraction)):
-            return UniPoly([c * other for c in self._coeffs], self.var)
+            return UniPoly([c * other for c in self._coeffs])
         if self.is_zero() or other.is_zero():
-            return UniPoly((), self.var)
+            return UniPoly(())
         out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
         for i, a in enumerate(self._coeffs):
             if a:
                 for j, b in enumerate(other._coeffs):
                     if b:
                         out[i + j] += a * b
-        return UniPoly(out, self.var)
+        return UniPoly(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "UniPoly":
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = UniPoly.constant(1, self.var)
+        result = UniPoly((1,))
         base = self
         while e:
             if e & 1:
@@ -371,64 +360,14 @@ class UniPoly:
         return total
 
     def derivative(self) -> "UniPoly":
-        return UniPoly([i * c for i, c in enumerate(self._coeffs)][1:], self.var)
-
-    def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._coeffs)
-        dv = other._coeffs
-        dd = len(dv) - 1
-        lead = dv[-1]
-        if len(rem) - 1 < dd:
-            return UniPoly((), self.var), UniPoly(rem, self.var)
-        quot = [Fraction(0)] * (len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c:
-                q = c / lead
-                quot[i - dd] = q
-                for j in range(dd + 1):
-                    rem[i - dd + j] -= q * dv[j]
-        return UniPoly(quot, self.var), UniPoly(rem, self.var)
-
-    def to_json_terms(self) -> list[dict]:
-        return [{"e": [i], "c": str(c)} for i, c in reversed(list(enumerate(self._coeffs))) if c]
-
-    @classmethod
-    def from_json_terms(cls, obj: Iterable[dict], var: str = "t") -> "UniPoly":
-        terms = {t["e"][0]: Fraction(t["c"]) for t in obj}
-        top = max(terms, default=-1)
-        return cls([terms.get(i, Fraction(0)) for i in range(top + 1)], var)
+        return UniPoly([i * c for i, c in enumerate(self._coeffs)][1:])
 
     def __str__(self) -> str:
         terms = [((i,), c) for i, c in reversed(list(enumerate(self._coeffs))) if c]
-        return _format_terms(terms, (self.var,))
+        return _format_terms(terms, ("t",))
 
     def __repr__(self) -> str:
-        return f"UniPoly({list(self._coeffs)!r}, var={self.var!r})"
-
-
-def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic greatest common divisor over the rationals."""
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    if a.is_zero():
-        return a
-    return a * (1 / a.leading_coefficient())
-
-
-def square_free_part(p: UniPoly) -> UniPoly:
-    """p divided by gcd(p, p'): same roots, all simple."""
-    if p.is_zero():
-        return p
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p
-    q, r = p.divmod(g)
-    if not r.is_zero():
-        raise InvariantViolation(f"gcd(p, p') of degree {g.degree} does not divide p of degree {p.degree}")
-    return q
+        return f"UniPoly({list(self._coeffs)!r})"
 
 
 class TruncSeries2:
@@ -563,9 +502,6 @@ class TruncSeries2:
             and self._terms == other._terms
         )
 
-    def to_json_terms(self) -> list[dict]:
-        return [{"e": list(e), "c": str(c)} for e, c in self.terms()]
-
     def __str__(self) -> str:
         return _format_terms(self.terms(), ("x", "y"))
 
@@ -586,9 +522,6 @@ class RootInterval:
 
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
     def to_json(self) -> dict:
         return {"lo": str(self.lo), "hi": str(self.hi)}
@@ -612,19 +545,64 @@ def _primitive_positive(p: UniPoly) -> UniPoly:
     g = 0
     for v in nums:
         g = gcd(g, v)
-    return UniPoly([v // g for v in nums], p.var)
+    return UniPoly([v // g for v in nums])
+
+
+def _pseudo_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """(q, r) with k*a = q*b + r and deg r < deg b, for integral a and b.
+
+    k is a power of |lc(b)|, never of lc(b): a positive k makes r a positive
+    multiple of the rational remainder of a by b, which keeps the signs that
+    Sturm sign variations read.
+    """
+    rem, div = _int_coeffs(a), _int_coeffs(b)
+    db = len(div) - 1
+    scale, flip = abs(div[-1]), (1 if div[-1] > 0 else -1)
+    quot = [0] * (len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i] * flip
+        if not c:
+            continue
+        if scale != 1:
+            rem = [v * scale for v in rem[:i]]
+            quot = [v * scale for v in quot]
+        quot[i - db] = c
+        for j in range(db):
+            rem[i - db + j] -= c * div[j]
+    return UniPoly(quot), UniPoly(rem[:db])
+
+
+def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Greatest common divisor with coprime integer coefficients and a positive
+    leading coefficient, by the primitive remainder sequence."""
+    a, b = _primitive_positive(a), _primitive_positive(b)
+    while not b.is_zero():
+        a, b = b, _primitive_positive(_pseudo_divmod(a, b)[1])
+    return -a if a.leading_coefficient() < 0 else a
+
+
+def square_free_part(p: UniPoly) -> UniPoly:
+    """p / gcd(p, p') up to a positive factor: same roots, all simple."""
+    if p.is_zero():
+        return p
+    g = poly_gcd(p, p.derivative())
+    if g.degree <= 0:
+        return p
+    q, r = _pseudo_divmod(_primitive_positive(p), g)
+    if not r.is_zero():
+        raise InvariantViolation(f"gcd(p, p') of degree {g.degree} does not divide p of degree {p.degree}")
+    return q
 
 
 def sturm_chain(p: UniPoly) -> list[UniPoly]:
-    """Sturm chain: p, p', then negated Euclidean remainders, each rescaled
-    to primitive integer coefficients (positive rescaling preserves all sign
-    variations)."""
+    """Sturm chain: p, p', then negated remainders, each rescaled to primitive
+    integer coefficients (positive rescaling preserves all sign variations)."""
     chain = [_primitive_positive(p), _primitive_positive(p.derivative())]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        rem = chain[-2].divmod(chain[-1])[1]
+    while chain[-1].degree > 0:
+        rem = _primitive_positive(-_pseudo_divmod(chain[-2], chain[-1])[1])
         if rem.is_zero():
             break
-        chain.append(_primitive_positive(-rem))
+        chain.append(rem)
     return [q for q in chain if not q.is_zero()]
 
 

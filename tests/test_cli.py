@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +147,36 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["F"] == "-2304"
+
+
+def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run(capsys, "character", "-m", "1", "-n", "2", "--no-meta", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert str(target) in err
+
+
+def test_approx_beyond_float_range_is_usage_error(capsys):
+    cls = f"{10**200},1,1"
+    code, out, _ = run(capsys, "evaluate", "-m", "1", "-n", "2", "--class", cls, "--format", "json", "--no-meta")
+    assert code == 0
+    code, out, err = run(
+        capsys, "evaluate", "-m", "1", "-n", "2", "--class", cls, "--format", "json", "--no-meta", "--approx"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--approx: F is beyond float range" in err
+
+
+def test_exponent_notation_is_usage_error_at_once():
+    # Fraction("1e999999999") would build a billion-digit integer first, so run it with a timeout
+    src = Path(__file__).resolve().parent.parent / "src"
+    cmd = [sys.executable, "-m", "csck", "evaluate", "-m", "1", "-n", "2", "--class", "1e999999999,1,1"]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
 
 
 def test_usage_error_exit_code(capsys):

@@ -45,8 +45,10 @@ def test_rational_strings_round_trip():
         value = parse_rational(text)
         assert str(value) == text
     assert parse_rational(" 6/8 ") == Fraction(3, 4)
-    with pytest.raises(ValueError):
-        parse_rational("x")
+    assert parse_rational("0.25") == Fraction(1, 4)
+    for text in ("x", "1e5", "2E-3"):
+        with pytest.raises(ValueError):
+            parse_rational(text)
     with pytest.raises(ValueError):
         parse_rational("1/0")
 
