@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample-face", help="signs on the interior lattice of the face x+y+z=1")
     p.add_argument("-m", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--resolution", type=int, required=True)
+    p.add_argument("--resolution", type=int, required=True, help=f"face denominator R, 3 to {cone.MAX_RESOLUTION}")
     add_common(p, ("csv", "json", "text"))
 
     return parser

@@ -32,6 +32,9 @@ SIGN_NAMES = {-1: "negative", 0: "zero", 1: "positive"}
 
 DEFAULT_WIDTH = Fraction(1, 2**20)
 
+# sample_face builds every point before any output; R = 500 is 124,251 points
+MAX_RESOLUTION = 500
+
 _FACE_A = KahlerClass(1, 0, 0)
 _FACE_B = KahlerClass(0, 1, 0)
 _EDGE_MIDPOINT = KahlerClass(Fraction(1, 2), Fraction(1, 2), 0)
@@ -381,6 +384,8 @@ def sample_face(d: Dims, resolution: int) -> list[FaceSample]:
     points (i, j, k)/R with i + j + k = R and i, j, k >= 1."""
     if resolution < 3:
         raise ValueError(f"resolution must be at least 3, the first with an interior point, got {resolution}")
+    if resolution > MAX_RESOLUTION:
+        raise ValueError(f"resolution must be at most {MAX_RESOLUTION}, got {resolution}")
     samples = []
     for i in range(1, resolution - 1):
         for j in range(1, resolution - i):

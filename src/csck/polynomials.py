@@ -63,7 +63,8 @@ def _format_terms(terms: list[tuple[tuple[int, ...], Fraction]], names: Sequence
 class MultiPoly3:
     """Sparse exact polynomial in the Kahler-coordinate variables (x, y, z)."""
 
-    __slots__ = ("_terms",)
+    # _int_form is filled on first evaluation; results built by __new__ leave it unset
+    __slots__ = ("_terms", "_int_form")
 
     def __init__(self, terms: Mapping[Exponent3, Fraction | int] | Iterable[tuple[Exponent3, Fraction | int]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -185,19 +186,44 @@ class MultiPoly3:
 
     # -- evaluation and substitution ----------------------------------------
 
-    def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
-        px, py, pz = (Fraction(v) for v in point)
-        total = Fraction(0)
+    def _integer_form(self) -> tuple[int, int, list[int], list[tuple[int, int, int, int, int]]]:
+        """(den, D, max exponents, terms): den * self is integral, D is the total
+        degree (0 for zero) and each term is (ex, ey, ez, D - ex - ey - ez, den * c)."""
+        try:
+            return self._int_form
+        except AttributeError:
+            pass
+        den = lcm(*(c.denominator for c in self._terms.values()))
+        top = max(self.total_degree(), 0)
+        max_e = [max((e[i] for e in self._terms), default=0) for i in range(3)]
+        terms = []
         for (ex, ey, ez), c in self._terms.items():
-            total += c * px**ex * py**ey * pz**ez
-        return total
+            # an integral polynomial shares its numerators rather than copying them
+            num = c.numerator if c.denominator == den else c.numerator * (den // c.denominator)
+            terms.append((ex, ey, ez, top - ex - ey - ez, num))
+        self._int_form = (den, top, max_e, terms)
+        return self._int_form
+
+    def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
+        """p(point), summed in integers over the common denominator of the
+        coefficients and of the point; no homogeneity is assumed."""
+        px, py, pz = (Fraction(v) for v in point)
+        den, top, (mx, my, mz), terms = self._integer_form()
+        scale = lcm(px.denominator, py.denominator, pz.denominator)
+        xs = _powers(px.numerator * (scale // px.denominator), mx)
+        ys = _powers(py.numerator * (scale // py.denominator), my)
+        zs = _powers(pz.numerator * (scale // pz.denominator), mz)
+        pads = _powers(scale, top)
+        total = sum(c * xs[ex] * ys[ey] * zs[ez] * pads[pad] for ex, ey, ez, pad, c in terms)
+        return Fraction(total, den * pads[top])
 
     def restrict_to_line(self, start: Sequence[Fraction | int], end: Sequence[Fraction | int]) -> "UniPoly":
         """The univariate polynomial t -> p((1 - t) * start + t * end).
 
-        Exact for arbitrary rational endpoints.  Internally the coordinate
-        forms are scaled to a shared integer denominator so the per-monomial
-        convolutions run over plain integers.
+        Exact for arbitrary rational endpoints.  The coordinate forms are
+        scaled to a shared integer denominator, so the per-monomial
+        convolutions and their sum run over plain integers, with one exact
+        division per coefficient at the end.
         """
         s = [Fraction(v) for v in start]
         e = [Fraction(v) for v in end]
@@ -207,24 +233,20 @@ class MultiPoly3:
             raise ValueError("coincident line endpoints")
         if self.is_zero():
             return UniPoly(())
+        den, top, max_e, terms = self._integer_form()
         scale = lcm(*(v.denominator for v in s + e))
         lines = [(int(si * scale), int((ei - si) * scale)) for si, ei in zip(s, e)]
+        pows = [int_power_table(a, b, n) for (a, b), n in zip(lines, max_e)]
+        pads = _powers(scale, top)
 
-        max_e = [0, 0, 0]
-        for exp in self._terms:
-            for i in range(3):
-                max_e[i] = max(max_e[i], exp[i])
-        pows = [int_power_table(a, b, top) for (a, b), top in zip(lines, max_e)]
-
-        deg = self.total_degree()
-        acc = [Fraction(0)] * (deg + 1)
-        for (ex, ey, ez), c in self._terms.items():
+        acc = [0] * (top + 1)
+        for ex, ey, ez, pad, c in terms:
             conv = int_convolve(int_convolve(pows[0][ex], pows[1][ey]), pows[2][ez])
-            f = c / Fraction(scale) ** (ex + ey + ez)
+            f = c * pads[pad]
             for k, v in enumerate(conv):
                 if v:
                     acc[k] += f * v
-        return UniPoly(acc)
+        return UniPoly(Fraction(v, den * pads[top]) for v in acc)
 
     # -- serialization ------------------------------------------------------
 
@@ -241,6 +263,14 @@ class MultiPoly3:
 X = MultiPoly3.monomial((1, 0, 0))
 Y = MultiPoly3.monomial((0, 1, 0))
 Z = MultiPoly3.monomial((0, 0, 1))
+
+
+def _powers(base: int, top: int) -> list[int]:
+    """base^0 .. base^top."""
+    table = [1]
+    for _ in range(top):
+        table.append(table[-1] * base)
+    return table
 
 
 def int_power_table(const: int, lin: int, top: int) -> list[list[int]]:
@@ -694,29 +724,30 @@ def sturm_isolate(
                 return a, b
             rad /= 2
 
-    def isolate(a: Fraction, b: Fraction) -> None:
+    # bisection over an explicit stack of ranges, left half on top, so a tiny
+    # width costs no interpreter recursion depth
+    pending = [(lo, hi)]
+    while pending:
+        a, b = pending.pop()
         n = roots_in(a, b)
         if n == 0:
-            return
+            continue
         sa, sb = q_sign(a), q_sign(b)
         if n == 1 and b - a <= width and sa != 0 and sb != 0:
             if sa == sb:
                 raise InvariantViolation(f"Sturm count 1 on ({a}, {b}) without a sign change")
             found.append(RootInterval(a, b))
-            return
+            continue
         if n == 1 and sb == 0 and b - a <= width:
             # the single counted root is b itself
             emit_around(b, a, b + (b - a))
-            return
+            continue
         mid = (a + b) / 2
         if q_sign(mid) == 0:
             lo2, hi2 = emit_around(mid, a, b)
-            isolate(a, lo2)
-            isolate(hi2, b)
-            return
-        isolate(a, mid)
-        isolate(mid, b)
+            pending += [(hi2, b), (a, lo2)]
+        else:
+            pending += [(mid, b), (a, mid)]
 
-    isolate(lo, hi)
     found.sort(key=lambda r: (r.lo, r.hi))
     return IsolationResult(identically_zero=False, intervals=tuple(found))

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -115,6 +117,26 @@ def test_locate_json(capsys):
     assert obj["intervals"][0]["inside_certified"] is True
 
 
+LOCATE_SEGMENT = ("locate", "-m", "1", "-n", "2", "--from", "7/16,7/16,1/8", "--to", "1/3,4/9,2/9")
+
+
+def test_locate_width_past_recursion_limit(capsys):
+    # 1100 halvings: more than the interpreter's default recursion limit of 1000 frames
+    code, out, _ = run(capsys, *LOCATE_SEGMENT, "--width", f"1/{2**1100}", "--format", "json", "--no-meta")
+    assert code == 0
+    intervals = json.loads(out)["intervals"]
+    assert intervals
+    for interval in intervals:
+        assert Fraction(interval["hi"]) - Fraction(interval["lo"]) <= Fraction(1, 2**1100)
+
+
+def test_locate_narrow_width_bytes_unchanged(capsys):
+    # the digest of the report written by the recursive bisection
+    code, out, _ = run(capsys, *LOCATE_SEGMENT, "--width", f"1/{2**900}", "--format", "json", "--no-meta")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "b023152024c10ef56db43fab66e4f8945f35fbdc281462fb7062d6c3c689b736"
+
+
 def test_sample_face_csv(capsys):
     code, out, _ = run(capsys, "sample-face", "-m", "1", "-n", "2", "--resolution", "3", "--format", "csv", "--no-meta")
     assert code == 0
@@ -177,6 +199,17 @@ def test_exponent_notation_is_usage_error_at_once():
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
     assert proc.stdout == ""
+
+
+def test_huge_resolution_is_usage_error_at_once():
+    # sample_face builds every point before writing, so an uncapped 10^9 would run for days
+    src = Path(__file__).resolve().parent.parent / "src"
+    cmd = [sys.executable, "-m", "csck", "sample-face", "-m", "1", "-n", "2", "--resolution", "1000000000"]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "resolution must be at most 500" in proc.stderr
 
 
 def test_usage_error_exit_code(capsys):

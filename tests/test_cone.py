@@ -7,6 +7,7 @@ import pytest
 from csck.character import Dims, KahlerClass
 from csck.cli import main
 from csck.cone import (
+    MAX_RESOLUTION,
     FacePoint,
     REGION_BOUNDARY,
     REGION_INSIDE,
@@ -207,3 +208,7 @@ class TestSampleFace:
         for resolution in (1, 2):
             with pytest.raises(ValueError):
                 sample_face(Dims(1, 2), resolution)
+
+    def test_resolution_past_cap_rejected(self):
+        with pytest.raises(ValueError, match="at most"):
+            sample_face(Dims(1, 2), MAX_RESOLUTION + 1)

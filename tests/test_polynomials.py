@@ -4,9 +4,10 @@ from math import gcd, lcm
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from csck.character import Dims, anticanonical_class, compute_obstruction
 from csck.polynomials import (
     MultiPoly3,
     TruncSeries2,
@@ -387,3 +388,63 @@ class TestIsolationAgainstSympy:
         roots = set(sympy.real_roots(poly))
         expected = sum(1 for r in roots if sympy.Rational(lo) < r <= sympy.Rational(hi))
         assert len(sturm_isolate(p, lo, hi, Fraction(1, 64)).intervals) == expected
+
+
+def _fraction_evaluate(p, point):
+    """The term-by-term Fraction loop that MultiPoly3.evaluate replaced, kept as the reference."""
+    px, py, pz = (Fraction(v) for v in point)
+    total = Fraction(0)
+    for (ex, ey, ez), c in p.terms():
+        total += c * px**ex * py**ey * pz**ez
+    return total
+
+
+_COORDS = st.one_of(st.integers(-6, 6), _RATIONALS)
+_POINTS = st.tuples(_COORDS, _COORDS, _COORDS)
+# sparse, mostly non-homogeneous; the empty dict is the zero polynomial
+_POLYS3 = st.dictionaries(st.tuples(*[st.integers(0, 5)] * 3), _RATIONALS, max_size=8).map(MultiPoly3)
+
+
+class TestIntegerFormAgainstFractions:
+    """The integer evaluation and line restriction against the Fraction loop."""
+
+    @_DIFFERENTIAL
+    @given(_POLYS3, _POINTS)
+    def test_evaluate_matches_fraction_loop(self, p, point):
+        assert p.evaluate(point) == _fraction_evaluate(p, point)
+        assert p.evaluate(point) == _fraction_evaluate(p, point)  # again, through the memoised form
+
+    @_DIFFERENTIAL
+    @given(_POLYS3, _POINTS, _POINTS, _RATIONALS)
+    def test_restriction_matches_substitution(self, p, start, end, t):
+        assume(tuple(map(Fraction, start)) != tuple(map(Fraction, end)))
+        point = [(1 - t) * Fraction(s) + t * Fraction(e) for s, e in zip(start, end)]
+        assert p.restrict_to_line(start, end).evaluate(t) == _fraction_evaluate(p, point)
+
+    @_DIFFERENTIAL
+    @given(_POLYS3, _POLYS3, _POINTS, _RATIONALS)
+    def test_derived_polynomials_evaluate_afresh(self, p, q, point, factor):
+        p.evaluate(point)
+        q.evaluate(point)
+        for r in (p + q, p - q, p * q, -p, p.scaled(factor), p * factor):
+            assert r.evaluate(point) == _fraction_evaluate(r, point)
+
+    def test_evaluate_does_not_assume_homogeneity(self):
+        p = X * X + Y
+        assert p.evaluate((1, 1, 1)) == 2
+        assert p.evaluate((2, 2, 2)) == 6
+
+    def test_face_lattice_of_9_10(self):
+        F = compute_obstruction(Dims(9, 10)).F
+        points = [(Fraction(i, 20), Fraction(j, 20), Fraction(20 - i - j, 20))
+                  for i in range(1, 19) for j in range(1, 20 - i)]
+        assert len(points) == 171
+        for point in points:
+            assert F.evaluate(point) == _fraction_evaluate(F, point), point
+
+    def test_anticanonical_class_of_every_paper_pair(self):
+        for m in range(1, 11):
+            for n in range(1, 11):
+                d = Dims(m, n)
+                F, c1 = compute_obstruction(d).F, anticanonical_class(d)
+                assert F.evaluate(c1) == _fraction_evaluate(F, c1), (m, n)
