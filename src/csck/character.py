@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import InvariantViolation, binomial
-from .polynomials import MultiPoly3, UniPoly, int_convolve, int_power_table
+from .polynomials import MultiPoly3, UniPoly, int_convolve_into, int_power_table
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,9 @@ class Dims:
     n: int
 
     def __post_init__(self):
+        for v in (self.m, self.n):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"dimensions must be integers, got ({self.m!r}, {self.n!r})")
         if self.m < 1 or self.n < 1:
             raise ValueError(f"dimensions must be positive, got ({self.m}, {self.n})")
 
@@ -269,22 +272,16 @@ def localized_component_poly(d: Dims, fc: FixedComponent, eps: int, cls: KahlerC
     top = m + n + 2
     pow_k = int_power_table(-fc.r * eps, fc.kappa, top)
     pow_r = int_power_table(-fc.a * eps, fc.rho, m)
-    pow_t = int_power_table(-fc.b * eps, fc.tau, top)
+    pow_t = int_power_table(-fc.b * eps, fc.tau, n)
     acc = [0] * (top + 1)
     for s in range(m + n + 1):
-        for q in range(m + 1):
-            c = (
-                binomial(m + n + 2, s)
-                * binomial(s, m - q)
-                * binomial(m + n - s, q)
-                * (-1) ** q
-                * fc.delta
-            )
-            if c == 0:
-                continue
-            prod = int_convolve(int_convolve(pow_k[top - s], pow_r[m - q]), pow_t[s - m + q])
-            for k, v in enumerate(prod):
-                acc[k] += c * v
+        # the q-sum, of degree s; C(s, m-q) C(m+n-s, q) != 0 exactly on this
+        # q range, where 0 <= s-m+q <= n
+        inner = [0] * (s + 1)
+        for q in range(max(0, m - s), min(m, m + n - s) + 1):
+            c = binomial(s, m - q) * binomial(m + n - s, q) * (-1) ** q
+            int_convolve_into(inner, c, pow_r[m - q], pow_t[s - m + q])
+        int_convolve_into(acc, binomial(m + n + 2, s) * fc.delta, inner, pow_k[top - s])
     return UniPoly(acc)
 
 
@@ -307,23 +304,21 @@ def localized_sum_poly_direct(d: Dims, eps: int, cls: KahlerClass) -> UniPoly:
     top = m + n + 2
     pow1k = int_power_table(-eps, mu, top)
     pow1r = int_power_table(-m * eps, lam - nu, m)
-    pow1t = int_power_table(-(n + 2) * eps, mu, top)
+    pow1t = int_power_table(-(n + 2) * eps, mu, n)
     pow2k = int_power_table(-eps, -mu + nu, top)
     pow2r = int_power_table(-(m + 2) * eps, lam, m)
-    pow2t = int_power_table(-n * eps, mu - nu, top)
+    pow2t = int_power_table(-n * eps, mu - nu, n)
     acc = [0] * (top + 1)
     for s in range(m + n + 1):
-        for q in range(m + 1):
-            c = binomial(m + n + 2, s) * binomial(s, m - q) * binomial(m + n - s, q) * (-1) ** q
-            if c == 0:
-                continue
-            sgn1 = (-1) ** (m + n + s + 1)
-            t1 = int_convolve(int_convolve(pow1k[top - s], pow1r[m - q]), pow1t[s - m + q])
-            t2 = int_convolve(int_convolve(pow2k[top - s], pow2r[m - q]), pow2t[s - m + q])
-            for k, v in enumerate(t1):
-                acc[k] += c * sgn1 * v
-            for k, v in enumerate(t2):
-                acc[k] += c * v
+        inner1 = [0] * (s + 1)
+        inner2 = [0] * (s + 1)
+        for q in range(max(0, m - s), min(m, m + n - s) + 1):
+            c = binomial(s, m - q) * binomial(m + n - s, q) * (-1) ** q
+            int_convolve_into(inner1, c, pow1r[m - q], pow1t[s - m + q])
+            int_convolve_into(inner2, c, pow2r[m - q], pow2t[s - m + q])
+        c = binomial(m + n + 2, s)
+        int_convolve_into(acc, c * (-1) ** (m + n + s + 1), inner1, pow1k[top - s])
+        int_convolve_into(acc, c, inner2, pow2k[top - s])
     return UniPoly(acc)
 
 

@@ -69,28 +69,32 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-meta", action="store_true", help="suppress the run-metadata header")
         p.add_argument("--approx", action="store_true", help="add float fields beside the exact ones")
 
+    def add_dims(p: argparse.ArgumentParser) -> None:
+        p.add_argument("-m", type=int, required=True, help=f"1 to {cone.MAX_DIM}")
+        p.add_argument("-n", type=int, required=True, help=f"1 to {cone.MAX_DIM}")
+
     p = sub.add_parser("character", help="emit g, h and the obstruction polynomial F")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    add_dims(p)
     add_common(p, ("text", "json"))
 
     p = sub.add_parser("evaluate", help="evaluate F, the slope and the region label at one class")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    add_dims(p)
     p.add_argument("--class", dest="cls", required=True, help="x,y,z, each P/Q, an integer or a decimal")
     add_common(p, ("json", "text", "csv"))
 
     p = sub.add_parser("scan", help="batch verdicts over dimension pairs")
-    p.add_argument("-m", "--m", dest="m_range", required=True, help="range a..b (or single value)")
-    p.add_argument("-n", "--n", dest="n_range", required=True, help="range a..b (or single value)")
+    dim_range = f"range a..b (or single value), 1 to {cone.MAX_DIM}"
+    p.add_argument("-m", "--m", dest="m_range", required=True, help=dim_range)
+    p.add_argument("-n", "--n", dest="n_range", required=True, help=dim_range)
     p.add_argument("--all-pairs", action="store_true", help="include pairs with m >= n")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (result is order-independent)")
+    p.add_argument(
+        "--jobs", type=int, default=1, help=f"parallel workers, 1 to {cone.MAX_JOBS} (result is order-independent)"
+    )
     p.add_argument("--width", default=None, help="witness isolation width P/Q (default 1/2^20)")
     add_common(p, ("csv", "json", "text"))
 
     p = sub.add_parser("locate", help="isolate zero classes of F on a segment")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    add_dims(p)
     p.add_argument("--from", dest="start", required=True, help="segment start x,y,z")
     p.add_argument("--to", dest="end", required=True, help="segment end x,y,z")
     p.add_argument("--width", default=None, help="isolation width P/Q (default 1/2^20)")
@@ -101,8 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, ("text", "json"))
 
     p = sub.add_parser("sample-face", help="signs on the interior lattice of the face x+y+z=1")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    add_dims(p)
     p.add_argument("--resolution", type=int, required=True, help=f"face denominator R, 3 to {cone.MAX_RESOLUTION}")
     add_common(p, ("csv", "json", "text"))
 
@@ -167,14 +170,21 @@ def _approx(args: argparse.Namespace, **values) -> dict:
     return out
 
 
+def _dims(args: argparse.Namespace) -> Dims:
+    """The pair (-m, -n), refused past :data:`cone.MAX_DIM` before F is built."""
+    if max(args.m, args.n) > cone.MAX_DIM:
+        raise ValueError(f"-m and -n must be at most {cone.MAX_DIM}, got ({args.m}, {args.n})")
+    return Dims(args.m, args.n)
+
+
 def _cmd_character(args: argparse.Namespace) -> int:
-    polys = compute_obstruction(Dims(args.m, args.n))
+    polys = compute_obstruction(_dims(args))
     _emit(args, {"m": args.m, "n": args.n}, polys.to_json() if args.format == "json" else [str(polys.F)])
     return EXIT_OK
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    d = Dims(args.m, args.n)
+    d = _dims(args)
     cls = _parse_class(args.cls)
     value = compute_obstruction(d).F.evaluate(cls)
     mu = slope(d, cls) if cls.x * cls.y * cls.z != 0 else None
@@ -214,8 +224,6 @@ _SCAN_COLUMNS = ("m", "n", "limit_l1", "limit_l2", "F_at_c1", "ke_admissible", "
 def _cmd_scan(args: argparse.Namespace) -> int:
     m_lo, m_hi = _parse_range(args.m_range)
     n_lo, n_hi = _parse_range(args.n_range)
-    if args.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
     rows = cone.scan_range(
         m_lo, m_hi, n_lo, n_hi, all_pairs=args.all_pairs, jobs=args.jobs, width=_parse_width(args.width)
     )
@@ -240,7 +248,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_locate(args: argparse.Namespace) -> int:
-    d = Dims(args.m, args.n)
+    d = _dims(args)
     start = _parse_class(args.start)
     end = _parse_class(args.end)
     width = _parse_width(args.width)
@@ -285,7 +293,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample_face(args: argparse.Namespace) -> int:
-    samples = cone.sample_face(Dims(args.m, args.n), args.resolution)
+    samples = cone.sample_face(_dims(args), args.resolution)
     params = {"m": args.m, "n": args.n, "resolution": args.resolution}
     if args.format == "json":
         body = {"samples": [{**s.to_json(), **_approx(args, point=s.point.as_class())} for s in samples]}

@@ -35,6 +35,12 @@ DEFAULT_WIDTH = Fraction(1, 2**20)
 # sample_face builds every point before any output; R = 500 is 124,251 points
 MAX_RESOLUTION = 500
 
+# The largest m or n a command accepts; F is built whole, of degree m + n + 4.
+MAX_DIM = 100
+
+# The most scan worker processes; a process pool starts every worker at once.
+MAX_JOBS = 64
+
 _FACE_A = KahlerClass(1, 0, 0)
 _FACE_B = KahlerClass(0, 1, 0)
 _EDGE_MIDPOINT = KahlerClass(Fraction(1, 2), Fraction(1, 2), 0)
@@ -345,12 +351,18 @@ def scan_range(
 
     By default only pairs with m < n are emitted; ``all_pairs`` admits the
     rest (reported, but with no backing claims).  ``jobs`` > 1 fans the pairs
-    out over processes; the result order is independent of it.
+    out over at most ``jobs`` processes, never more than there are pairs; the
+    result order is independent of it.  Bounds past :data:`MAX_DIM` and
+    ``jobs`` outside 1..:data:`MAX_JOBS` are refused before any work.
     """
     if m_lo < 1 or n_lo < 1:
         raise ValueError("dimension bounds must be >= 1")
     if m_hi < m_lo or n_hi < n_lo:
         raise ValueError("empty dimension range")
+    if m_hi > MAX_DIM or n_hi > MAX_DIM:
+        raise ValueError(f"dimension bounds must be at most {MAX_DIM}, got m..{m_hi}, n..{n_hi}")
+    if not 1 <= jobs <= MAX_JOBS:
+        raise ValueError(f"jobs must be 1 to {MAX_JOBS}, got {jobs}")
     pairs = [
         (m, n, width)
         for m in range(m_lo, m_hi + 1)
@@ -358,7 +370,7 @@ def scan_range(
         if all_pairs or m < n
     ]
     if jobs > 1 and len(pairs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(pairs))) as pool:
             rows = list(pool.map(_scan_pair_tuple, pairs))
     else:
         rows = [scan_pair(m, n, w) for m, n, w in pairs]

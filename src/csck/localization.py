@@ -284,11 +284,12 @@ def lambda_at_one(d: Dims, s: int, j: int, c0: int, delta: int) -> Fraction:
     den_order = j + 2
     cap = den_order
 
-    def one_plus_u_pow(e: int) -> list[Fraction]:
-        return [Fraction(general_binomial(e, i)) for i in range(cap + 1)]
+    # integer u-series truncated past u^cap; the only division is the last line
+    def one_plus_u_pow(e: int) -> list[int]:
+        return [general_binomial(e, i) for i in range(cap + 1)]
 
-    def mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-        out = [Fraction(0)] * (cap + 1)
+    def mul(a: list[int], b: list[int]) -> list[int]:
+        out = [0] * (cap + 1)
         for i, ai in enumerate(a):
             if ai:
                 for jj, bj in enumerate(b):
@@ -298,8 +299,8 @@ def lambda_at_one(d: Dims, s: int, j: int, c0: int, delta: int) -> Fraction:
                         out[i + jj] += ai * bj
         return out
 
-    def powered(a: list[Fraction], e: int) -> list[Fraction]:
-        out = [Fraction(1)] + [Fraction(0)] * cap
+    def powered(a: list[int], e: int) -> list[int]:
+        out = [1] + [0] * cap
         for _ in range(e):
             out = mul(out, a)
         return out
@@ -309,7 +310,7 @@ def lambda_at_one(d: Dims, s: int, j: int, c0: int, delta: int) -> Fraction:
     num = mul(one_plus_u_pow(s * c0 + delta), powered(cm1, m + n + 2 - s))
     dm1 = one_plus_u_pow(delta)
     dm1[0] -= 1  # (1+u)^delta - 1
-    den = mul([Fraction(0), Fraction(1)] + [Fraction(0)] * (cap - 1), powered(dm1, j + 1))
+    den = mul([0, 1] + [0] * (cap - 1), powered(dm1, j + 1))
     num_order = next((i for i, v in enumerate(num) if v), None)
     if num_order is None:
         return Fraction(0)
@@ -319,7 +320,7 @@ def lambda_at_one(d: Dims, s: int, j: int, c0: int, delta: int) -> Fraction:
         )
     if num_order > den_order:
         return Fraction(0)
-    return num[den_order] / den[den_order]
+    return Fraction(num[den_order], den[den_order])
 
 
 @lru_cache(maxsize=None)

@@ -286,6 +286,16 @@ def int_power_table(const: int, lin: int, top: int) -> list[list[int]]:
     return table
 
 
+def int_convolve_into(acc: list[int], scale: int, a: list[int], b: list[int]) -> None:
+    """acc += scale * a * b in place, for integer coefficient lists with
+    len(acc) >= len(a) + len(b) - 1."""
+    for i, ai in enumerate(a):
+        if ai:
+            f = scale * ai
+            for j, bj in enumerate(b):
+                acc[i + j] += f * bj
+
+
 def int_convolve(a: list[int], b: list[int]) -> list[int]:
     """Product of two integer coefficient lists."""
     out = [0] * (len(a) + len(b) - 1)
@@ -384,10 +394,18 @@ class UniPoly:
         return hash(self._coeffs)
 
     def evaluate(self, point: Fraction | int) -> Fraction:
-        total = Fraction(0)
+        """p(a/b) as sum C_i a^i b^(D-i) / (den b^D), with den * p = sum C_i t^i
+        integral, by integer Horner over one denominator."""
+        if not self._coeffs:
+            return Fraction(0)
+        a, b = point.numerator, point.denominator
+        den = lcm(*(c.denominator for c in self._coeffs))
+        total = 0
+        pad = 1
         for c in reversed(self._coeffs):
-            total = total * point + c
-        return total
+            total = total * a + c.numerator * (den // c.denominator) * pad
+            pad *= b
+        return Fraction(total, den * b ** (len(self._coeffs) - 1))
 
     def derivative(self) -> "UniPoly":
         return UniPoly([i * c for i, c in enumerate(self._coeffs)][1:])
@@ -406,6 +424,8 @@ class TruncSeries2:
     Arithmetic is exact on the retained range: the stored coefficient of any
     monomial of total degree <= truncation equals the true coefficient of the
     represented product.  Binary operations demand equal truncation degrees.
+    Integral coefficients are stored as ``int``, so integral series multiply
+    in integers; :meth:`coefficient` and :meth:`terms` return ``Fraction``.
     """
 
     __slots__ = ("truncation", "_terms")
@@ -415,14 +435,18 @@ class TruncSeries2:
             raise ValueError("truncation degree must be non-negative")
         self.truncation = truncation
         items = terms.items() if isinstance(terms, Mapping) else terms
-        data: dict[tuple[int, int], Fraction] = {}
+        data: dict[tuple[int, int], Fraction | int] = {}
         for exponent, coeff in items:
             e = (int(exponent[0]), int(exponent[1]))
             if e[0] < 0 or e[1] < 0:
                 raise ValueError(f"bad exponent pair {exponent!r}")
             if e[0] + e[1] > truncation:
                 continue
-            c = data.get(e, Fraction(0)) + Fraction(coeff)
+            if type(coeff) is not int:
+                coeff = Fraction(coeff)
+                if coeff.denominator == 1:
+                    coeff = coeff.numerator
+            c = data.get(e, 0) + coeff
             if c:
                 data[e] = c
             else:
@@ -444,14 +468,14 @@ class TruncSeries2:
             for j in range(truncation + 1 - i):
                 by = general_binomial(e_y, j)
                 if by:
-                    data[(i, j)] = Fraction(bx * by)
+                    data[(i, j)] = bx * by
         return cls(truncation, data)
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def terms(self) -> list[tuple[tuple[int, int], Fraction]]:
-        return sorted(self._terms.items(), key=lambda t: _term_key(t[0]), reverse=True)
+        return sorted(((e, Fraction(c)) for e, c in self._terms.items()), key=lambda t: _term_key(t[0]), reverse=True)
 
     def coefficient(self, exponent: Sequence[int]) -> Fraction:
         e = (int(exponent[0]), int(exponent[1]))
@@ -459,7 +483,7 @@ class TruncSeries2:
             raise ValueError(
                 f"coefficient {e} lies beyond truncation degree {self.truncation}"
             )
-        return self._terms.get(e, Fraction(0))
+        return Fraction(self._terms.get(e, 0))
 
     def _check(self, other: "TruncSeries2") -> None:
         if self.truncation != other.truncation:
@@ -471,7 +495,7 @@ class TruncSeries2:
         self._check(other)
         data = dict(self._terms)
         for e, c in other._terms.items():
-            s = data.get(e, Fraction(0)) + c
+            s = data.get(e, 0) + c
             if s:
                 data[e] = s
             else:
@@ -492,20 +516,19 @@ class TruncSeries2:
 
     def __mul__(self, other: "TruncSeries2 | Fraction | int") -> "TruncSeries2":
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
             out = TruncSeries2.__new__(TruncSeries2)
             out.truncation = self.truncation
-            out._terms = {e: c * f for e, c in self._terms.items()} if f else {}
+            out._terms = {e: c * other for e, c in self._terms.items()} if other else {}
             return out
         self._check(other)
         cap = self.truncation
-        data: dict[tuple[int, int], Fraction] = {}
+        data: dict[tuple[int, int], Fraction | int] = {}
         for (a0, a1), ca in self._terms.items():
             for (b0, b1), cb in other._terms.items():
                 e = (a0 + b0, a1 + b1)
                 if e[0] + e[1] > cap:
                     continue
-                s = data.get(e, Fraction(0)) + ca * cb
+                s = data.get(e, 0) + ca * cb
                 if s:
                     data[e] = s
                 else:

@@ -18,8 +18,8 @@ from csck.character import (
     localized_sum_poly_direct,
     slope,
 )
-from csck.exact import factorial
-from csck.polynomials import MultiPoly3, UniPoly
+from csck.exact import binomial, factorial
+from csck.polynomials import MultiPoly3, UniPoly, int_convolve, int_power_table
 from test_polynomials import F_1_2
 
 # Independently derived coefficient tables (direct per-(s,q) summation with a
@@ -227,3 +227,78 @@ class TestAssembly:
         cls = KahlerClass(1, 1, 1)
         F_value = compute_obstruction(d).F.evaluate(cls)
         assert assemble_from_localization(d, cls) == 2**6 * factorial(6) * F_value
+
+
+def test_dims_must_be_integers():
+    for m, n in ((1.5, 2), (True, 2), (2, False), (2, "3"), (2.0, 3)):
+        with pytest.raises(ValueError):
+            Dims(m, n)
+
+
+def _unfactored_component(d, fc, eps):
+    """The double sum as localized_component_poly computed it before the q-sum
+    was grouped per s: two convolutions per (s, q), kept as the reference."""
+    m, n = d.m, d.n
+    top = m + n + 2
+    pow_k = int_power_table(-fc.r * eps, fc.kappa, top)
+    pow_r = int_power_table(-fc.a * eps, fc.rho, m)
+    pow_t = int_power_table(-fc.b * eps, fc.tau, top)
+    acc = [0] * (top + 1)
+    for s in range(m + n + 1):
+        for q in range(m + 1):
+            c = binomial(m + n + 2, s) * binomial(s, m - q) * binomial(m + n - s, q) * (-1) ** q * fc.delta
+            if c == 0:
+                continue
+            prod = int_convolve(int_convolve(pow_k[top - s], pow_r[m - q]), pow_t[s - m + q])
+            for k, v in enumerate(prod):
+                acc[k] += c * v
+    return UniPoly(acc)
+
+
+def _unfactored_direct(d, eps, cls):
+    """The two-row specialization before the same grouping, kept as the reference."""
+    lam, mu, nu = (int(v) for v in cls)
+    m, n = d.m, d.n
+    top = m + n + 2
+    pow1k = int_power_table(-eps, mu, top)
+    pow1r = int_power_table(-m * eps, lam - nu, m)
+    pow1t = int_power_table(-(n + 2) * eps, mu, top)
+    pow2k = int_power_table(-eps, -mu + nu, top)
+    pow2r = int_power_table(-(m + 2) * eps, lam, m)
+    pow2t = int_power_table(-n * eps, mu - nu, top)
+    acc = [0] * (top + 1)
+    for s in range(m + n + 1):
+        for q in range(m + 1):
+            c = binomial(m + n + 2, s) * binomial(s, m - q) * binomial(m + n - s, q) * (-1) ** q
+            if c == 0:
+                continue
+            sgn1 = (-1) ** (m + n + s + 1)
+            t1 = int_convolve(int_convolve(pow1k[top - s], pow1r[m - q]), pow1t[s - m + q])
+            t2 = int_convolve(int_convolve(pow2k[top - s], pow2r[m - q]), pow2t[s - m + q])
+            for k, v in enumerate(t1):
+                acc[k] += c * sgn1 * v
+            for k, v in enumerate(t2):
+                acc[k] += c * v
+    return UniPoly(acc)
+
+
+# integral classes, several with zero coordinates (zero weights rho, tau, kappa)
+_REFERENCE_CLASSES = (
+    KahlerClass(3, 4, 2),
+    KahlerClass(-5, 2, 7),
+    KahlerClass(0, 3, -2),
+    KahlerClass(4, 0, 0),
+    KahlerClass(2, 2, 2),
+    KahlerClass(0, 0, 0),
+)
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_localized_paths_match_unfactored_double_sum(m):
+    for n in range(1, 6):
+        d = Dims(m, n)
+        for cls in _REFERENCE_CLASSES:
+            for eps in (-1, 0, 1):
+                for fc in fixed_components(d, cls):
+                    assert localized_component_poly(d, fc, eps, cls) == _unfactored_component(d, fc, eps), (m, n)
+                assert localized_sum_poly_direct(d, eps, cls) == _unfactored_direct(d, eps, cls), (m, n)

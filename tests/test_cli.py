@@ -265,3 +265,14 @@ def test_invariant_violation_exit_code(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "invariant violation" in err
+
+
+def test_huge_scan_ranges_are_usage_error_at_once():
+    # the pair list for 1..100000 x 1..100000 would hold 5 * 10^9 pairs, so run it with a timeout
+    src = Path(__file__).resolve().parent.parent / "src"
+    cmd = [sys.executable, "-m", "csck", "scan", "--m", "1..100000", "--n", "1..100000"]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "dimension bounds must be at most 100" in proc.stderr

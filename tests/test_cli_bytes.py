@@ -4,7 +4,8 @@ Each case runs one subcommand in one format, plain and with ``--approx``,
 and compares the SHA-256 of its stdout with the recorded digest.  A refactor
 of the report code must leave every digest unchanged.  The meta cases mask
 ``generated_at``, the only field that changes between runs.  ``verify`` runs
-on fixed results, so its layouts are pinned without running the battery.
+on fixed results, so its layouts are pinned without running the battery; the
+deep battery's JSON report is pinned once more on a real run.
 """
 import hashlib
 import re
@@ -127,3 +128,16 @@ def test_cli_bytes_are_pinned(case, capsys, monkeypatch):
     out = _mask(capsys.readouterr().out)
     assert code == (4 if case.startswith("verify") else 0)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EXPECTED[case]
+
+
+# The stdout digest that the benchmark harness stores for its verify-deep workload.
+DEEP_BATTERY_SHA256 = "61807d123a16893a5919f8874d9afee55fd9e8043acc4ccac1b691ef015002c2"
+
+
+def test_deep_battery_bytes_are_pinned(capsys):
+    # the real battery, cyclotomic checks included: every fast path it runs must
+    # leave the report byte for byte as the Fraction code wrote it
+    code = main(["verify", "--deep", "--format", "json", "--no-meta"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEEP_BATTERY_SHA256

@@ -7,6 +7,8 @@ import pytest
 from csck.character import Dims, KahlerClass
 from csck.cli import main
 from csck.cone import (
+    MAX_DIM,
+    MAX_JOBS,
     MAX_RESOLUTION,
     FacePoint,
     REGION_BOUNDARY,
@@ -212,3 +214,76 @@ class TestSampleFace:
     def test_resolution_past_cap_rejected(self):
         with pytest.raises(ValueError, match="at most"):
             sample_face(Dims(1, 2), MAX_RESOLUTION + 1)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in this
+    process, so no worker process is ever started."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        _RecordingPool.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestJobsCap:
+    @pytest.fixture(autouse=True)
+    def recording_pool(self, monkeypatch):
+        _RecordingPool.created = []
+        monkeypatch.setattr("csck.cone.ProcessPoolExecutor", _RecordingPool)
+
+    def test_workers_never_exceed_pairs(self):
+        rows = scan_range(1, 2, 2, 3, jobs=MAX_JOBS)
+        assert [(r.m, r.n) for r in rows] == [(1, 2), (1, 3), (2, 3)]
+        assert _RecordingPool.created == [3]
+        scan_range(1, 1, 2, 3, jobs=2)
+        assert _RecordingPool.created == [3, 2]
+
+    @pytest.mark.parametrize("jobs", [0, -1, 65, 100000])
+    def test_out_of_range_jobs_rejected_before_any_work(self, jobs, capsys):
+        code = main(["scan", "--m", "1..2", "--n", "2..3", "--jobs", str(jobs), "--no-meta"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "jobs must be 1 to 64" in captured.err
+        assert _RecordingPool.created == []
+
+
+class TestDimensionCap:
+    def test_scan_range_past_cap_rejected(self):
+        assert MAX_DIM == 100
+        with pytest.raises(ValueError, match="at most 100"):
+            scan_range(1, 2, 99, 101)
+        with pytest.raises(ValueError, match="at most 100"):
+            scan_range(101, 101, 1, 1)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("character", "-m", "101", "-n", "2"),
+            ("evaluate", "-m", "1", "-n", "101", "--class", "3,4,2"),
+            ("locate", "-m", "101", "-n", "2", "--from", "1,0,0", "--to", "0,1,0"),
+            ("sample-face", "-m", "2", "-n", "101", "--resolution", "5"),
+            ("scan", "--m", "1..5", "--n", "99..101"),
+        ],
+    )
+    def test_commands_refuse_dims_past_cap_before_building_f(self, argv, capsys, monkeypatch):
+        def refuse(d):
+            raise AssertionError(f"F built for {d}")
+
+        monkeypatch.setattr("csck.cli.compute_obstruction", refuse)
+        monkeypatch.setattr("csck.cone.compute_obstruction", refuse)
+        code = main(list(argv) + ["--no-meta"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "at most 100" in captured.err

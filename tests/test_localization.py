@@ -9,7 +9,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csck.character import Dims, KahlerClass, fixed_components, localized_component_poly
+from csck.character import Dims, InvariantViolation, KahlerClass, fixed_components, localized_component_poly
+from csck.exact import general_binomial
 from csck.localization import (
     CycloElement,
     build_series_context,
@@ -263,3 +264,63 @@ class TestCongruences:
         obj = verdict.to_json()
         assert set(obj) == {"check", "params", "pass", "witness"}
         assert obj["check"] == "lambda_sum_congruence"
+
+
+def _fraction_lambda_at_one(d, s, j, c0, delta):
+    """lambda_at_one as it was computed before its u-series moved to integers:
+    every coefficient a Fraction, kept as the reference."""
+    m, n = d.m, d.n
+    den_order = j + 2
+    cap = den_order
+
+    def one_plus_u_pow(e):
+        return [Fraction(general_binomial(e, i)) for i in range(cap + 1)]
+
+    def mul(a, b):
+        out = [Fraction(0)] * (cap + 1)
+        for i, ai in enumerate(a):
+            for jj, bj in enumerate(b):
+                if i + jj <= cap:
+                    out[i + jj] += ai * bj
+        return out
+
+    def powered(a, e):
+        out = [Fraction(1)] + [Fraction(0)] * cap
+        for _ in range(e):
+            out = mul(out, a)
+        return out
+
+    cm1 = one_plus_u_pow(c0)
+    cm1[0] -= 1
+    num = mul(one_plus_u_pow(s * c0 + delta), powered(cm1, m + n + 2 - s))
+    dm1 = one_plus_u_pow(delta)
+    dm1[0] -= 1
+    den = mul([Fraction(0), Fraction(1)] + [Fraction(0)] * (cap - 1), powered(dm1, j + 1))
+    num_order = next((i for i, v in enumerate(num) if v), None)
+    if num_order is None or num_order > den_order:
+        return Fraction(0)
+    if num_order < den_order:
+        raise InvariantViolation("pole")
+    return num[den_order] / den[den_order]
+
+
+class TestLambdaLimitAgainstFractions:
+    def test_grid_matches_fraction_series(self):
+        for m, n in ((1, 1), (1, 3), (3, 1), (2, 2), (2, 4)):
+            d = Dims(m, n)
+            for s in range(m + n + 1):
+                for j in range(m + n - s + 1):
+                    for c0 in (-4, -1, 0, 1, 2, 5):
+                        for delta in (-1, 1):
+                            value = lambda_at_one(d, s, j, c0, delta)
+                            assert type(value) is Fraction
+                            assert value == _fraction_lambda_at_one(d, s, j, c0, delta), (m, n, s, j, c0, delta)
+
+    def test_pole_still_raises(self, monkeypatch):
+        # (1+u)^e with constant term 2 makes (1+u)^c0 - 1 a unit, so the
+        # numerator has order 0 below the denominator's j + 2
+        from csck import localization
+
+        monkeypatch.setattr(localization, "general_binomial", lambda e, i: 2 if i == 0 else 1)
+        with pytest.raises(InvariantViolation, match="pole"):
+            lambda_at_one(Dims(1, 1), 0, 0, 3, 1)

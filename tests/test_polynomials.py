@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from csck.character import Dims, anticanonical_class, compute_obstruction
+from csck.exact import general_binomial
 from csck.polynomials import (
     MultiPoly3,
     TruncSeries2,
@@ -448,3 +449,112 @@ class TestIntegerFormAgainstFractions:
                 d = Dims(m, n)
                 F, c1 = compute_obstruction(d).F, anticanonical_class(d)
                 assert F.evaluate(c1) == _fraction_evaluate(F, c1), (m, n)
+
+
+def _fraction_horner(p, point):
+    """The Fraction Horner loop that UniPoly.evaluate replaced, kept as the reference."""
+    total = Fraction(0)
+    for c in reversed(p.coefficients()):
+        total = total * point + c
+    return total
+
+
+class TestUniPolyEvaluateAgainstFractions:
+    """Integer Horner over one denominator against the Fraction loop."""
+
+    @_DIFFERENTIAL
+    @given(st.lists(st.one_of(st.just(Fraction(0)), st.integers(-9, 9), _RATIONALS), max_size=8), _COORDS)
+    def test_evaluate_matches_fraction_horner(self, coeffs, point):
+        p = UniPoly(coeffs)
+        value = p.evaluate(point)
+        assert type(value) is Fraction
+        assert value == _fraction_horner(p, point)
+
+    def test_zero_polynomial(self):
+        for point in (0, -3, Fraction(-5, 7)):
+            value = UniPoly(()).evaluate(point)
+            assert type(value) is Fraction and value == 0
+
+    def test_constant(self):
+        for point in (0, 4, Fraction(2, 9)):
+            assert UniPoly([Fraction(-7, 3)]).evaluate(point) == Fraction(-7, 3)
+
+    def test_zero_and_negative_points(self):
+        p = UniPoly([Fraction(1, 2), -3, 0, Fraction(5, 4)])
+        for point in (0, -1, -2, Fraction(-3, 4), Fraction(-1, 6)):
+            assert p.evaluate(point) == _fraction_horner(p, point)
+        assert p.evaluate(0) == Fraction(1, 2)
+
+    def test_distinct_denominators(self):
+        # den = lcm(2, 3, 7, 5) = 210; a rational point pads every lower term
+        p = UniPoly([Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(3, 5)])
+        for point in (Fraction(-3, 4), Fraction(5, 11), 3):
+            assert p.evaluate(point) == _fraction_horner(p, point)
+        assert p.evaluate(Fraction(1, 2)) == Fraction(1, 2) - Fraction(1, 3) + Fraction(5, 28) + Fraction(3, 40)
+
+
+def _fraction_series_product(a, b, cap):
+    """The truncated product of two {(i, j): Fraction} maps, term by term."""
+    out = {}
+    for (a0, a1), ca in a.items():
+        for (b0, b1), cb in b.items():
+            if a0 + b0 + a1 + b1 <= cap:
+                e = (a0 + b0, a1 + b1)
+                out[e] = out.get(e, Fraction(0)) + Fraction(ca) * Fraction(cb)
+    return out
+
+
+_SERIES_CAP = 4
+_SERIES_TERMS = st.dictionaries(
+    st.tuples(st.integers(0, _SERIES_CAP), st.integers(0, _SERIES_CAP)),
+    st.one_of(st.integers(-9, 9), _RATIONALS),
+    max_size=8,
+)
+
+
+class TestTruncSeriesAgainstFractions:
+    """Integer-held series coefficients against a Fraction-dict oracle."""
+
+    @staticmethod
+    def _assert_matches(series, expected):
+        for i in range(series.truncation + 1):
+            for j in range(series.truncation + 1 - i):
+                value = series.coefficient((i, j))
+                assert type(value) is Fraction
+                assert value == expected.get((i, j), 0), (i, j)
+
+    @_DIFFERENTIAL
+    @given(_SERIES_TERMS, _SERIES_TERMS, st.one_of(st.integers(-3, 3), _RATIONALS))
+    def test_products_and_sums_match_oracle(self, a, b, factor):
+        kept = {e: Fraction(c) for e, c in a.items() if sum(e) <= _SERIES_CAP}
+        sa, sb = TruncSeries2(_SERIES_CAP, a), TruncSeries2(_SERIES_CAP, b)
+        self._assert_matches(sa * sb, _fraction_series_product(a, b, _SERIES_CAP))
+        cubed = _fraction_series_product(_fraction_series_product(a, b, _SERIES_CAP), b, _SERIES_CAP)
+        self._assert_matches(sa * sb * sb, cubed)
+        summed = dict(kept)
+        for e, c in b.items():
+            if sum(e) <= _SERIES_CAP:
+                summed[e] = summed.get(e, Fraction(0)) + Fraction(c)
+        self._assert_matches(sa + sb, summed)
+        self._assert_matches(sa * factor, {e: c * Fraction(factor) for e, c in kept.items()})
+        assert all(type(c) is Fraction for _, c in (sa * sb).terms())
+
+    def test_non_integral_series(self):
+        half = TruncSeries2(2, {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 3), (0, 1): 2})
+        square = half * half
+        assert square.coefficient((0, 0)) == Fraction(1, 4)
+        assert square.coefficient((1, 0)) == Fraction(1, 3)
+        assert square.coefficient((1, 1)) == Fraction(4, 3)
+        assert square.coefficient((0, 2)) == 4
+        # an integral Fraction input is held as an integer and compares equal
+        assert TruncSeries2(2, {(1, 0): Fraction(6, 3)}) == TruncSeries2(2, {(1, 0): 2})
+
+    def test_binomial_series_matches_general_binomials(self):
+        for e_x, e_y in ((3, -2), (-4, 5), (0, -1)):
+            series = TruncSeries2.binomial_series(e_x, e_y, 5)
+            expected = {
+                (i, j): Fraction(general_binomial(e_x, i) * general_binomial(e_y, j))
+                for i in range(6)
+                for j in range(6 - i)
+            }
+            self._assert_matches(series, expected)
