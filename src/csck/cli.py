@@ -90,14 +90,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs", type=int, default=1, help=f"parallel workers, 1 to {cone.MAX_JOBS} (result is order-independent)"
     )
-    p.add_argument("--width", default=None, help="witness isolation width P/Q (default 1/2^20)")
+    p.add_argument("--width", default=None, help="witness isolation width P/Q (default 1/2^20, at least 1/2^2048)")
     add_common(p, ("csv", "json", "text"))
 
     p = sub.add_parser("locate", help="isolate zero classes of F on a segment")
     add_dims(p)
     p.add_argument("--from", dest="start", required=True, help="segment start x,y,z")
     p.add_argument("--to", dest="end", required=True, help="segment end x,y,z")
-    p.add_argument("--width", default=None, help="isolation width P/Q (default 1/2^20)")
+    p.add_argument("--width", default=None, help="isolation width P/Q (default 1/2^20, at least 1/2^2048)")
     add_common(p, ("json", "text"))
 
     p = sub.add_parser("verify", help="run the verification battery")

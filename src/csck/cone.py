@@ -10,8 +10,10 @@ Two probe lines drive the existence argument: l1 from A to C, along which
 F vanishes to order exactly n + 3 with a negative normalized leading
 coefficient, and l2 from the AB edge midpoint to the apex (0,0,1), along
 which F vanishes to order exactly 2 with a positive one.  A sign change
-between interior points produces, by Sturm isolation on the connecting
+between interior points produces, by root isolation on the connecting
 segment, certified intervals around classes where the obstruction vanishes.
+The isolation counts roots by Descartes' rule of signs and proves each
+interval by a sign change of the square-free restriction.
 """
 from __future__ import annotations
 
@@ -31,6 +33,10 @@ REGION_NOT_NORMALIZABLE = "not-normalizable"
 SIGN_NAMES = {-1: "negative", 0: "zero", 1: "positive"}
 
 DEFAULT_WIDTH = Fraction(1, 2**20)
+
+# The narrowest isolation width a command accepts; each halving below the
+# default lengthens the rationals every sign evaluation multiplies.
+MIN_WIDTH = Fraction(1, 2**2048)
 
 # sample_face builds every point before any output; R = 500 is 124,251 points
 MAX_RESOLUTION = 500
@@ -199,6 +205,11 @@ class SegmentReport:
         }
 
 
+def _check_width(width: Fraction | int) -> None:
+    if width < MIN_WIDTH:
+        raise ValueError("width must be at least 1/2^2048")
+
+
 def _point_on_segment(start: KahlerClass, end: KahlerClass, t: Fraction) -> KahlerClass:
     return KahlerClass(
         start.x + t * (end.x - start.x),
@@ -218,10 +229,12 @@ def isolate_on_segment(
     Each root interval is reported with its midpoint class and a flag telling
     whether the whole corresponding sub-segment lies in the certified Kahler
     triangle (by convexity, true exactly when both interval endpoints map
-    inside).  Differing endpoint signs force at least one interval.
+    inside).  Differing endpoint signs force at least one interval.  A width
+    below :data:`MIN_WIDTH` is refused before any work.
     """
     if start == end:
         raise ValueError("segment endpoints coincide")
+    _check_width(width)
     restricted = restrict_f_to_line(d, start, end)
     result = sturm_isolate(restricted, Fraction(0), Fraction(1), width)
     sign_start = sign_at(d, start)
@@ -352,8 +365,9 @@ def scan_range(
     By default only pairs with m < n are emitted; ``all_pairs`` admits the
     rest (reported, but with no backing claims).  ``jobs`` > 1 fans the pairs
     out over at most ``jobs`` processes, never more than there are pairs; the
-    result order is independent of it.  Bounds past :data:`MAX_DIM` and
-    ``jobs`` outside 1..:data:`MAX_JOBS` are refused before any work.
+    result order is independent of it.  Bounds past :data:`MAX_DIM`,
+    ``jobs`` outside 1..:data:`MAX_JOBS` and a width below :data:`MIN_WIDTH`
+    are refused before any work.
     """
     if m_lo < 1 or n_lo < 1:
         raise ValueError("dimension bounds must be >= 1")
@@ -363,6 +377,7 @@ def scan_range(
         raise ValueError(f"dimension bounds must be at most {MAX_DIM}, got m..{m_hi}, n..{n_hi}")
     if not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"jobs must be 1 to {MAX_JOBS}, got {jobs}")
+    _check_width(width)
     pairs = [
         (m, n, width)
         for m in range(m_lo, m_hi + 1)

@@ -9,10 +9,13 @@ Three value types cover every algebraic need of the package:
 * :class:`TruncSeries2` -- bivariate power series truncated at a total
   degree, exact on every retained coefficient.
 
-Real roots of a ``UniPoly`` are isolated with Sturm chains on the square-free
-part.  The gcd, the division and the Sturm remainders are one integer
-primitive remainder sequence; all arithmetic is exact, so the isolation is a
-proof, not a heuristic.
+Real roots of a ``UniPoly`` are isolated on its square-free part by dyadic
+bisection with Descartes' rule of signs.  The gcd behind the square-free part
+is a heuristic candidate that is proved by exact division and by a degree
+bound modulo a prime; the integer primitive remainder sequence is its
+fallback, and also builds the Sturm chains that check the isolation
+independently.  All arithmetic is exact, so the isolation is a proof, not a
+heuristic.
 
 Canonical term order is graded lexicographic, largest first (total degree,
 then exponent tuple); serialization and printing follow it, so output is
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .exact import InvariantViolation, general_binomial
@@ -562,7 +565,7 @@ class TruncSeries2:
         return f"TruncSeries2({self.truncation}, {dict(self.terms())!r})"
 
 
-# -- Sturm-chain root isolation ---------------------------------------------
+# -- root isolation ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -634,22 +637,120 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return -a if a.leading_coefficient() < 0 else a
 
 
+# Word-size primes for the gcd degree bound, tried in order until one divides
+# neither leading coefficient.
+_GCD_PRIMES = (2**61 - 1, 2**31 - 1, 1_000_000_007)
+
+# Evaluation points the heuristic gcd tries before it gives up.
+_HEURISTIC_GCD_TRIES = 4
+
+
+def _modular_gcd_degree(f: list[int], g: list[int]) -> int | None:
+    """deg gcd(f mod P, g mod P) for the first prime P of ``_GCD_PRIMES`` that
+    divides neither leading coefficient; None when every listed prime does.
+
+    Reduction mod such a P keeps both degrees, so the image of gcd(f, g)
+    divides the modular gcd: the result bounds deg gcd(f, g) from above
+    (Brown 1971).
+    """
+    for prime in _GCD_PRIMES:
+        if f[-1] % prime and g[-1] % prime:
+            break
+    else:
+        return None
+    a, b = [c % prime for c in f], [c % prime for c in g]
+    while b:
+        inv = pow(b[-1], -1, prime)
+        while len(a) >= len(b):
+            c = a[-1] * inv % prime
+            shift = len(a) - len(b)
+            for j, v in enumerate(b):
+                a[shift + j] = (a[shift + j] - c * v) % prime
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _exact_quotient(f: list[int], h: list[int]) -> list[int] | None:
+    """f / h when h divides f in Z[t], else None; h is nonzero."""
+    dh = len(h) - 1
+    if len(f) <= dh:
+        return None
+    rem, lead = list(f), h[-1]
+    quot = [0] * (len(f) - dh)
+    for i in range(len(f) - 1, dh - 1, -1):
+        c, r = divmod(rem[i], lead)
+        if r:
+            return None
+        if c:
+            quot[i - dh] = c
+            for j in range(dh):
+                rem[i - dh + j] -= c * h[j]
+    return None if any(rem[:dh]) else quot
+
+
+def _heuristic_gcd(f: list[int], g: list[int]) -> list[int] | None:
+    """A common divisor of f and g that is likely their gcd, or None.
+
+    GCDHEU (Char, Geddes & Gonnet 1989): the integer gcd of f(xi) and g(xi)
+    is read back as balanced base-xi digits, and its primitive part is kept
+    once it divides both f and g exactly.  Dividing both only proves that
+    the candidate divides the gcd; the caller proves equality by degree.
+    """
+    # xi exceeds every root of the input of smaller norm, so value is nonzero
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 2
+    for _ in range(_HEURISTIC_GCD_TRIES):
+        value = gcd(_homogeneous_value(f, xi, 1), _homogeneous_value(g, xi, 1))
+        digits = []
+        while value:
+            d = value % xi
+            if 2 * d > xi:
+                d -= xi
+            digits.append(d)
+            value = (value - d) // xi
+        content = gcd(*digits) if digits[-1] > 0 else -gcd(*digits)
+        h = [d // content for d in digits]
+        if _exact_quotient(g, h) is not None and _exact_quotient(f, h) is not None:
+            return h
+        xi = xi * isqrt(xi) + 1
+    return None
+
+
 def square_free_part(p: UniPoly) -> UniPoly:
-    """p / gcd(p, p') up to a positive factor: same roots, all simple."""
-    if p.is_zero():
+    """p / gcd(p, p') up to a positive factor: same roots, all simple.
+
+    The gcd of the primitive integer p and p' is certified without a
+    remainder sequence: a word-size prime bounds its degree from above, and
+    a heuristic candidate that divides both exactly and meets that degree is
+    the gcd.  The primitive remainder sequence (:func:`poly_gcd`) runs only
+    when the heuristic fails or falls short of the bound.
+    """
+    if p.degree <= 0:
         return p
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
+    f = _int_coeffs(_primitive_positive(p))
+    df = [i * c for i, c in enumerate(f)][1:]
+    bound = _modular_gcd_degree(f, df)
+    if bound == 0:
         return p
-    q, r = _pseudo_divmod(_primitive_positive(p), g)
-    if not r.is_zero():
-        raise InvariantViolation(f"gcd(p, p') of degree {g.degree} does not divide p of degree {p.degree}")
-    return q
+    h = _heuristic_gcd(f, df)
+    if h is None or len(h) - 1 != bound:
+        h = _int_coeffs(poly_gcd(p, p.derivative()))
+    if len(h) == 1:
+        return p
+    q = _exact_quotient(f, h)
+    if q is None:
+        raise InvariantViolation(f"gcd(p, p') of degree {len(h) - 1} does not divide p of degree {p.degree}")
+    return UniPoly(q)
 
 
 def sturm_chain(p: UniPoly) -> list[UniPoly]:
     """Sturm chain: p, p', then negated remainders, each rescaled to primitive
-    integer coefficients (positive rescaling preserves all sign variations)."""
+    integer coefficients (positive rescaling preserves all sign variations).
+
+    Isolation does not use it; it is the independent root count that
+    :func:`count_roots` and the verification battery check isolation with.
+    """
     chain = [_primitive_positive(p), _primitive_positive(p.derivative())]
     while chain[-1].degree > 0:
         rem = _primitive_positive(-_pseudo_divmod(chain[-2], chain[-1])[1])
@@ -663,13 +764,19 @@ def _int_coeffs(p: UniPoly) -> list[int]:
     return [int(c) for c in p.coefficients()]
 
 
-def _sign_at_rational(coeffs: list[int], num: int, den: int) -> int:
-    # sign of P(num/den) via the homogenized integer value (den > 0)
+def _homogeneous_value(coeffs: list[int], num: int, den: int) -> int:
+    # den^d * P(num/den) for P of degree d, by integer Horner
     acc = 0
     den_pow = 1
     for c in reversed(coeffs):
         acc = acc * num + c * den_pow
         den_pow *= den
+    return acc
+
+
+def _sign_at_rational(coeffs: list[int], num: int, den: int) -> int:
+    # sign of P(num/den) via the homogenized integer value (den > 0)
+    acc = _homogeneous_value(coeffs, num, den)
     return (acc > 0) - (acc < 0)
 
 
@@ -685,6 +792,36 @@ def count_roots(chain: Sequence[UniPoly], lo: Fraction, hi: Fraction) -> int:
     return _variations_int(chain_int, Fraction(lo)) - _variations_int(chain_int, Fraction(hi))
 
 
+def _descartes_bound(coeffs: list[int], a: Fraction, b: Fraction) -> int:
+    """Sign variations of (1 + y)^d q((a y + b) / (1 + y)) for q = coeffs of
+    degree d and a < b.
+
+    y in (0, oo) maps onto x in (a, b), so by Descartes' rule of signs this
+    bounds the roots of q in the open interval (a, b) from above, with the
+    same parity: a bound of 0 or 1 is the exact count.  With a = A/D and
+    b = B/D the transform is sum c_i (B + A y)^i (D + D y)^(d - i), built by
+    one homogeneous Horner pass in integers.
+    """
+    den = lcm(a.denominator, b.denominator)
+    num_a, num_b = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    acc = [coeffs[-1]]
+    pascal = [1]  # (1 + y)^k
+    den_pow = 1  # D^k
+    for c in reversed(coeffs[:-1]):
+        shifted = [v * num_b for v in acc] + [0]
+        for k, v in enumerate(acc):
+            shifted[k + 1] += v * num_a
+        pascal = [1] + [u + v for u, v in zip(pascal, pascal[1:])] + [1]
+        den_pow *= den
+        scale = c * den_pow
+        if scale:
+            for k, v in enumerate(pascal):
+                shifted[k] += scale * v
+        acc = shifted
+    signs = [v > 0 for v in acc if v]
+    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+
 def sturm_isolate(
     p: UniPoly,
     lo: Fraction | int,
@@ -698,6 +835,13 @@ def sturm_isolate(
     its endpoints.  A root landing exactly on a probe point (including hi)
     is enclosed by a small interval straddling it, which may extend just past
     the scanned range.
+
+    The square-free part q is bisected dyadically.  A cell's root count is
+    a Descartes bound (:func:`_descartes_bound`); a bound of 2 or more is
+    settled exactly by bisecting inside the cell, so every decision uses the
+    true count, the one a Sturm chain would give.  Once a cell holds exactly
+    one root and q is nonzero at its left end, the descent follows the sign
+    of q at each midpoint and counts nothing more.
     """
     lo = Fraction(lo)
     hi = Fraction(hi)
@@ -712,24 +856,38 @@ def sturm_isolate(
     q = square_free_part(p)
     if q.degree == 0:
         return IsolationResult(identically_zero=False, intervals=())
-    chain = sturm_chain(q)
-    chain_int = [_int_coeffs(c) for c in chain]
-    q_int = chain_int[0]
-    variation_cache: dict[Fraction, int] = {}
-
-    def variations(at: Fraction) -> int:
-        cached = variation_cache.get(at)
-        if cached is None:
-            cached = variation_cache[at] = _variations_int(chain_int, at)
-        return cached
-
-    def roots_in(a: Fraction, b: Fraction) -> int:
-        return variations(a) - variations(b)
+    q_int = _int_coeffs(_primitive_positive(q))
+    bound_cache: dict[tuple[Fraction, Fraction], int] = {}
 
     def q_sign(at: Fraction) -> int:
         return _sign_at_rational(q_int, at.numerator, at.denominator)
 
+    def open_count(a: Fraction, b: Fraction) -> int:
+        # exact root count on (a, b): cells with a bound of 2 or more are split
+        total = 0
+        cells = [(a, b)]
+        while cells:
+            cell = cells.pop()
+            bound = bound_cache.get(cell)
+            if bound is None:
+                bound = bound_cache[cell] = _descartes_bound(q_int, *cell)
+            if bound <= 1:
+                total += bound
+                continue
+            mid = (cell[0] + cell[1]) / 2
+            total += q_sign(mid) == 0
+            cells += [(cell[0], mid), (mid, cell[1])]
+        return total
+
+    def roots_in(a: Fraction, b: Fraction) -> int:
+        return open_count(a, b) + (q_sign(b) == 0)
+
     found: list[RootInterval] = []
+
+    def emit(a: Fraction, b: Fraction) -> None:
+        if q_sign(a) == q_sign(b):
+            raise InvariantViolation(f"one root counted on ({a}, {b}) without a sign change")
+        found.append(RootInterval(a, b))
 
     def emit_around(c: Fraction, left: Fraction, right: Fraction) -> tuple[Fraction, Fraction]:
         # c is an exact root; shrink a straddling interval until it isolates.
@@ -741,11 +899,29 @@ def sturm_isolate(
         while True:
             a, b = c - rad, c + rad
             if q_sign(a) != 0 and q_sign(b) != 0 and roots_in(a, b) == 1:
-                if q_sign(a) == q_sign(b):
-                    raise InvariantViolation(f"Sturm count 1 on ({a}, {b}) without a sign change")
-                found.append(RootInterval(a, b))
+                emit(a, b)
                 return a, b
             rad /= 2
+
+    def descend(a: Fraction, b: Fraction, sa: int, sb: int) -> None:
+        # (a, b] holds exactly one root, which is simple, and q(a) != 0
+        while b - a > width:
+            mid = (a + b) / 2
+            sm = q_sign(mid)
+            if sm == 0:
+                # the root is mid; the straddling interval stays inside (a, b)
+                rad = min(width, b - mid) / 2
+                emit(mid - rad, mid + rad)
+                return
+            if sm != sa:
+                b, sb = mid, sm
+            else:
+                a, sa = mid, sm
+        if sb == 0:
+            # the root is b itself
+            emit_around(b, a, b + (b - a))
+        else:
+            emit(a, b)
 
     # bisection over an explicit stack of ranges, left half on top, so a tiny
     # width costs no interpreter recursion depth
@@ -756,10 +932,8 @@ def sturm_isolate(
         if n == 0:
             continue
         sa, sb = q_sign(a), q_sign(b)
-        if n == 1 and b - a <= width and sa != 0 and sb != 0:
-            if sa == sb:
-                raise InvariantViolation(f"Sturm count 1 on ({a}, {b}) without a sign change")
-            found.append(RootInterval(a, b))
+        if n == 1 and sa != 0:
+            descend(a, b, sa, sb)
             continue
         if n == 1 and sb == 0 and b - a <= width:
             # the single counted root is b itself

@@ -4,10 +4,10 @@ Each check re-proves one pillar of the computation with exact arithmetic:
 the golden low-dimensional polynomial, sign and vanishing-order claims along
 the probe lines for every pair 1 <= m < n <= 10, the localization assembly
 identity on randomized integral classes, the cross-path equality of the
-localized sums, Sturm isolation soundness, and structural facts (integrality,
-homogeneity, slope of the anticanonical class).  The cyclotomic congruence
-battery re-derives the mod-p reduction and runs only when deep checks are
-requested.
+localized sums, root isolation soundness against a Sturm count, and
+structural facts (integrality, homogeneity, slope of the anticanonical
+class).  The cyclotomic congruence battery re-derives the mod-p reduction and
+runs only when deep checks are requested.
 
 The same battery backs ``csck verify`` and the acceptance test suite.
 """
@@ -211,7 +211,8 @@ def check_vanishing_orders() -> CheckResult:
 def check_root_isolation() -> CheckResult:
     """For (1, 2): a segment with verified opposite endpoint signs yields
     isolating intervals; the square-free restriction changes sign across each
-    interval, and the interval count equals the Sturm root count."""
+    interval, and the interval count equals the Sturm root count, which the
+    Descartes isolation never computes."""
     start = time.perf_counter()
     d = Dims(1, 2)
     positive = cone._search_signed_point(d, cone._EDGE_MIDPOINT, cone._APEX, +1)

@@ -137,6 +137,18 @@ def test_locate_narrow_width_bytes_unchanged(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == "b023152024c10ef56db43fab66e4f8945f35fbdc281462fb7062d6c3c689b736"
 
 
+@pytest.mark.parametrize("command", [("scan", "--m", "9", "--n", "10"), LOCATE_SEGMENT])
+def test_width_below_floor_is_usage_error_at_once(command):
+    # each halving lengthens every probe rational, so an unbounded width would run on and on
+    src = Path(__file__).resolve().parent.parent / "src"
+    cmd = [sys.executable, "-m", "csck", *command, "--width", f"1/{2**2049}"]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "width must be at least 1/2^2048" in proc.stderr
+
+
 def test_sample_face_csv(capsys):
     code, out, _ = run(capsys, "sample-face", "-m", "1", "-n", "2", "--resolution", "3", "--format", "csv", "--no-meta")
     assert code == 0

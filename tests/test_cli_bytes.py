@@ -57,6 +57,10 @@ CASES = {
 CASES["meta-text"] = ("character", "-m", "2", "-n", "3", "--format", "text")
 CASES["meta-json"] = ("evaluate", "-m", "1", "-n", "2", "--class", "3,4,2", "--format", "json")
 CASES["meta-csv"] = ("scan", "--m", "1..3", "--n", "2..4", "--format", "csv", "--approx")
+# scans past the paper's range, with their witness intervals: the scan-wide
+# pairs in all three witness modes, and one far pair
+CASES["scan-wide-json"] = ("scan", "--m", "10", "--n", "9..12", "--all-pairs", "--format", "json", "--no-meta")
+CASES["scan-far-json"] = ("scan", "--m", "24", "--n", "26", "--format", "json", "--no-meta")
 
 EXPECTED = {
     "character0-json": "353c05a1762efce5a8d27c312e6c9c66a0809139c12c312ff42c375d5c2f6bab",
@@ -98,6 +102,8 @@ EXPECTED = {
     "scan0-json-approx": "e92a63562b5f3d0c2cdf168faf7fc710196a877b1104d8f3a3d67c7f4522b677",
     "scan0-text": "47e44a7b5fba2afb9f4de250f761f71be5d38a904d8978a1f59467f7b0330922",
     "scan0-text-approx": "47e44a7b5fba2afb9f4de250f761f71be5d38a904d8978a1f59467f7b0330922",
+    "scan-far-json": "d79fb78eeec5c7e1386878d15fd57bacd1f0da202800726a0300c6043bb382d8",
+    "scan-wide-json": "92f7ffa150b49a08bf0027553d178dc1a5077c742285c1122f57df5ba7939f6d",
     "scan1-csv": "692cb39524ad97b61bf28663aabd1807e101e0a3bf5ac05150be289104ba7c41",
     "scan1-csv-approx": "5bf4e7153414e324d8ba01b7bcafd5df33ccd8441e7a1a3942d495300a8f739a",
     "scan1-json": "0e8cb4ed35e0d1e792bca302088bc2d64ff2eb384df71639f28cf0b6d3a740f0",

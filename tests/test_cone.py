@@ -10,6 +10,7 @@ from csck.cone import (
     MAX_DIM,
     MAX_JOBS,
     MAX_RESOLUTION,
+    MIN_WIDTH,
     FacePoint,
     REGION_BOUNDARY,
     REGION_INSIDE,
@@ -287,3 +288,29 @@ class TestDimensionCap:
         assert code == 2
         assert captured.out == ""
         assert "at most 100" in captured.err
+
+
+class TestWidthFloor:
+    SEGMENT = (
+        KahlerClass(Fraction(7, 16), Fraction(7, 16), Fraction(1, 8)),
+        KahlerClass(Fraction(1, 3), Fraction(4, 9), Fraction(2, 9)),
+    )
+
+    def test_below_floor_rejected_before_building_f(self, monkeypatch):
+        assert MIN_WIDTH == Fraction(1, 2**2048)
+
+        def refuse(d):
+            raise AssertionError(f"F built for {d}")
+
+        monkeypatch.setattr("csck.cone.compute_obstruction", refuse)
+        for width in (MIN_WIDTH / 2, Fraction(0), Fraction(-1)):
+            with pytest.raises(ValueError, match="at least 1/2\\^2048"):
+                scan_range(1, 1, 2, 2, width=width)
+            with pytest.raises(ValueError, match="at least 1/2\\^2048"):
+                isolate_on_segment(Dims(1, 2), *self.SEGMENT, width=width)
+
+    def test_floor_itself_isolates(self):
+        report = isolate_on_segment(Dims(1, 2), *self.SEGMENT, width=MIN_WIDTH)
+        assert report.roots
+        for root in report.roots:
+            assert root.interval.hi - root.interval.lo <= MIN_WIDTH

@@ -1,13 +1,20 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dup_zz_heu_gcd
 
-from csck.character import Dims, anticanonical_class, compute_obstruction
+from csck import cone, polynomials
+from csck.character import Dims, InvariantViolation, anticanonical_class, compute_obstruction
 from csck.exact import general_binomial
 from csck.polynomials import (
     MultiPoly3,
@@ -17,7 +24,10 @@ from csck.polynomials import (
     Y,
     Z,
     _pseudo_divmod,
+    _sign_at_rational,
+    _variations_int,
     count_roots,
+    poly_gcd,
     square_free_part,
     sturm_chain,
     sturm_isolate,
@@ -197,6 +207,32 @@ class TestTruncSeries2:
                     assert product_series.coefficient((i, j)) == product_poly.coefficient((i, j, 0))
 
 
+_NON_DIVISOR_CANDIDATE = """
+from csck import polynomials
+from csck.exact import InvariantViolation
+
+polynomials._heuristic_gcd = lambda f, g: [1, 1]
+try:
+    polynomials.square_free_part(polynomials.UniPoly([0, 0, 1]))
+except InvariantViolation:
+    pass
+else:
+    raise SystemExit("a non-divisor gcd candidate was accepted")
+"""
+
+
+def _prs_square_free_part(p):
+    """p / gcd(p, p') by the primitive remainder sequence alone, made primitive."""
+    if p.degree <= 0:
+        return p
+    g = poly_gcd(p, p.derivative())
+    if g.degree <= 0:
+        return p
+    quotient, remainder = _pseudo_divmod(polynomials._primitive_positive(p), g)
+    assert remainder.is_zero()
+    return polynomials._primitive_positive(quotient)
+
+
 class TestUniPoly:
     def test_degree_of_product(self):
         rng = random.Random(17)
@@ -223,13 +259,40 @@ class TestUniPoly:
         assert sf.evaluate(1) == 0 and sf.evaluate(-2) == 0
 
     def test_square_free_part_non_divisor_gcd_is_invariant_violation(self, monkeypatch):
-        # a proven identity, so it must fail loudly also under python -O
-        from csck import polynomials
-        from csck.character import InvariantViolation
-
-        monkeypatch.setattr(polynomials, "poly_gcd", lambda a, b: UniPoly([1, 1]))
+        # t + 1 meets the degree bound of gcd(t^2, 2t) = t but does not divide t^2
+        monkeypatch.setattr(polynomials, "_heuristic_gcd", lambda f, g: [1, 1])
         with pytest.raises(InvariantViolation):
             square_free_part(UniPoly([0, 0, 1]))
+
+    @pytest.mark.parametrize("flags", [(), ("-O",)])
+    def test_non_divisor_gcd_raises_in_a_fresh_interpreter(self, flags):
+        # a proven identity, so it must fail loudly also under python -O
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        cmd = [sys.executable, *flags, "-c", _NON_DIVISOR_CANDIDATE]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    @pytest.mark.parametrize("candidate", [lambda f, g: None, lambda f, g: [1]], ids=["none", "wrong-degree"])
+    def test_forced_fallback_gives_the_remainder_sequence_result(self, monkeypatch, candidate):
+        # (t - 1)^3 (2t + 3)^2 (t^2 + 1): gcd(p, p') has degree 3
+        p = UniPoly([-1, 1]) ** 3 * UniPoly([3, 2]) ** 2 * UniPoly([1, 0, 1])
+        fast = square_free_part(p)
+        monkeypatch.setattr(polynomials, "_heuristic_gcd", candidate)
+        assert square_free_part(p) == fast == _prs_square_free_part(p)
+        assert fast == UniPoly([-3, 1, -1, 1, 2])  # (t - 1)(2t + 3)(t^2 + 1)
+
+    def test_prime_dividing_the_leading_coefficient_is_skipped(self, monkeypatch):
+        # (P t + 1)^2 is constant mod P, where gcd(p, p') would read as degree 0
+        prime = polynomials._GCD_PRIMES[0]
+        p = UniPoly([1, prime]) ** 2
+        f = [int(c) for c in p.coefficients()]
+        assert polynomials._modular_gcd_degree(f, [f[1], 2 * f[2]]) == 1
+        assert square_free_part(p) == UniPoly([1, prime])
+        # with no usable prime there is no bound, and the remainder sequence decides
+        monkeypatch.setattr(polynomials, "_GCD_PRIMES", (prime,))
+        assert polynomials._modular_gcd_degree(f, [f[1], 2 * f[2]]) is None
+        assert square_free_part(p) == UniPoly([1, prime])
 
 
 class TestSturmIsolation:
@@ -355,13 +418,28 @@ def _primitive_positive(coeffs):
 
 
 class TestIsolationAgainstSympy:
-    """The integer remainder sequence against sympy's rational arithmetic."""
+    """The square-free part, the Sturm chain and the interval counts against
+    sympy's rational arithmetic."""
 
     @_DIFFERENTIAL
     @given(_products())
     def test_square_free_part_degree_matches_sympy(self, drawn):
         poly, p = drawn
-        assert square_free_part(p).degree == sympy.sqf_part(poly).degree()
+        got = square_free_part(p)
+        assert got.degree == sympy.sqf_part(poly).degree()
+        want = _from_sympy(sympy.sqf_part(poly).monic())
+        assert got * (1 / got.leading_coefficient()) == want
+
+    @_DIFFERENTIAL
+    @given(_products())
+    def test_heuristic_gcd_matches_sympy_and_remainder_sequence(self, drawn):
+        p = drawn[1]
+        f = [int(c) for c in polynomials._primitive_positive(p).coefficients()]
+        df = [i * c for i, c in enumerate(f)][1:]
+        got = polynomials._heuristic_gcd(f, df)
+        want = dup_zz_heu_gcd(f[::-1], df[::-1], ZZ)[0]  # sympy lists run from the leading coefficient
+        assert got == [int(c) for c in reversed(want)]
+        assert got == [int(c) for c in poly_gcd(p, p.derivative()).coefficients()]
 
     @_DIFFERENTIAL
     @given(_products())
@@ -389,6 +467,127 @@ class TestIsolationAgainstSympy:
         roots = set(sympy.real_roots(poly))
         expected = sum(1 for r in roots if sympy.Rational(lo) < r <= sympy.Rational(hi))
         assert len(sturm_isolate(p, lo, hi, Fraction(1, 64)).intervals) == expected
+
+
+def _sturm_isolate_reference(p, lo, hi, width):
+    """The Sturm-chain bisection that sturm_isolate replaced, kept as the
+    reference: its square-free part comes from the remainder sequence and
+    every root count from the Sturm chain."""
+    lo, hi, width = Fraction(lo), Fraction(hi), Fraction(width)
+    q = _prs_square_free_part(p)
+    if q.degree == 0:
+        return ()
+    chain_int = [[int(c) for c in r.coefficients()] for r in sturm_chain(q)]
+    q_int = chain_int[0]
+    variation_cache = {}
+
+    def variations(at):
+        if at not in variation_cache:
+            variation_cache[at] = _variations_int(chain_int, at)
+        return variation_cache[at]
+
+    def roots_in(a, b):
+        return variations(a) - variations(b)
+
+    def q_sign(at):
+        return _sign_at_rational(q_int, at.numerator, at.denominator)
+
+    found = []
+
+    def emit_around(c, left, right):
+        rad = width / 2
+        if c > left:
+            rad = min(rad, (c - left) / 2)
+        if c < right:
+            rad = min(rad, (right - c) / 2)
+        while True:
+            a, b = c - rad, c + rad
+            if q_sign(a) != 0 and q_sign(b) != 0 and roots_in(a, b) == 1:
+                assert q_sign(a) != q_sign(b)
+                found.append((a, b))
+                return a, b
+            rad /= 2
+
+    pending = [(lo, hi)]
+    while pending:
+        a, b = pending.pop()
+        n = roots_in(a, b)
+        if n == 0:
+            continue
+        sa, sb = q_sign(a), q_sign(b)
+        if n == 1 and b - a <= width and sa != 0 and sb != 0:
+            assert sa != sb
+            found.append((a, b))
+            continue
+        if n == 1 and sb == 0 and b - a <= width:
+            emit_around(b, a, b + (b - a))
+            continue
+        mid = (a + b) / 2
+        if q_sign(mid) == 0:
+            lo2, hi2 = emit_around(mid, a, b)
+            pending += [(hi2, b), (a, lo2)]
+        else:
+            pending += [(mid, b), (a, mid)]
+    return tuple(sorted(found))
+
+
+def _interval_tuple(result):
+    return tuple((iv.lo, iv.hi) for iv in result.intervals)
+
+
+@st.composite
+def _isolation_cases(draw):
+    """A drawn product with a scan range of any length and sign, extra roots
+    placed on its ends and on bisection probe points, and a width."""
+    p = draw(_products())[1]
+    lo = draw(_RATIONALS)
+    hi = lo + draw(st.sampled_from((Fraction(1, 3), 1, Fraction(3, 2), 5)))
+    width = draw(st.sampled_from((Fraction(1, 8), Fraction(1, 64), Fraction(1, 2**20))))
+    depth = draw(st.integers(1, 4))
+    probe = lo + (hi - lo) * Fraction(2 * draw(st.integers(0, 2 ** (depth - 1) - 1)) + 1, 2**depth)
+    for root in draw(st.lists(st.sampled_from((lo, hi, probe)), max_size=3)):
+        p = p * UniPoly([-root, 1]) ** draw(st.integers(1, 2))
+    return p, lo, hi, width
+
+
+def _scan_restrictions():
+    """F restricted to the witness segment of every scan-paper and scan-wide pair."""
+    pairs = [(m, n) for m in range(1, 10) for n in range(m + 1, 11)] + [(10, n) for n in range(9, 13)]
+    restrictions = []
+    for m, n in pairs:
+        row = cone.scan_pair(m, n)
+        restrictions.append(cone.restrict_f_to_line(Dims(m, n), row.witness_start, row.witness_end))
+    return restrictions
+
+
+class TestIsolationAgainstSturm:
+    """Descartes bisection against the Sturm-chain reference: equal interval
+    tuples, not just equal counts."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_isolation_cases())
+    def test_intervals_match_sturm_reference(self, case):
+        p, lo, hi, width = case
+        assert _interval_tuple(sturm_isolate(p, lo, hi, width)) == _sturm_isolate_reference(p, lo, hi, width)
+
+    def test_descartes_bound_above_one_at_the_width_stop(self):
+        # a complex pair 1/3 +- i/100 beside the real root 1/3 + 1/1000 keeps
+        # the Descartes bound at 3 on the width-1/8 cell that holds one root
+        real = UniPoly([Fraction(-1, 3) - Fraction(1, 1000), 1])
+        p = real * UniPoly([Fraction(1, 9) + Fraction(1, 10**4), Fraction(-2, 3), 1])
+        cell = (Fraction(1, 4), Fraction(3, 8))
+        q = [int(c) for c in polynomials._primitive_positive(p).coefficients()]
+        assert polynomials._descartes_bound(q, *cell) == 3
+        got = _interval_tuple(sturm_isolate(p, 0, 1, Fraction(1, 8)))
+        assert got == _sturm_isolate_reference(p, 0, 1, Fraction(1, 8)) == (cell,)
+
+    def test_scan_restrictions_match_sturm_reference(self):
+        restrictions = _scan_restrictions()
+        assert len(restrictions) == 49
+        for p in restrictions:
+            got = _interval_tuple(sturm_isolate(p, 0, 1, cone.DEFAULT_WIDTH))
+            assert got == _sturm_isolate_reference(p, 0, 1, cone.DEFAULT_WIDTH)
+            assert len(got) == 1
 
 
 def _fraction_evaluate(p, point):
