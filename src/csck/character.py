@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import InvariantViolation, binomial
-from .polynomials import MultiPoly3, UniPoly, int_convolve_into, int_power_table
+from .polynomials import Exponent3, MultiPoly3, UniPoly, _homogeneous_value, int_convolve_into, int_power_table
 
 
 @dataclass(frozen=True)
@@ -120,78 +120,114 @@ def _double_sum_coeff(d: Dims, s: int, q: int) -> int:
     )
 
 
-def _accumulate_shifted(
-    acc: dict[tuple[int, int, int], int],
-    scale: int,
-    shift_x: bool,
-    e_x: int,
-    shift_y: bool,
-    e_y: int,
-) -> None:
-    # scale * (x-z if shift_x else x)^e_x * (y-z if shift_y else y)^e_y,
-    # binomially expanded into an integer coefficient map.
-    for i in range(e_x + 1) if shift_x else (0,):
-        cx = binomial(e_x, i) * (-1) ** i if shift_x else 1
-        for j in range(e_y + 1) if shift_y else (0,):
-            cy = binomial(e_y, j) * (-1) ** j if shift_y else 1
-            key = (e_x - i, e_y - j, i + j)
-            acc[key] = acc.get(key, 0) + scale * cx * cy
+def _moments(d: Dims) -> list[tuple[int, int]]:
+    """(S0_q, S1_q) = (sum_s c(s, q), sum_s s c(s, q)) for q = 0..m.
+
+    The shapes in g and h depend on q alone and their scales are at most
+    linear in s, so these two moments carry all of the s-sum."""
+    m, n = d.m, d.n
+    moments = []
+    for q in range(m + 1):
+        s0 = s1 = 0
+        for s in range(m - q, m + n - q + 1):
+            c = _double_sum_coeff(d, s, q)
+            s0 += c
+            s1 += s * c
+        moments.append((s0, s1))
+    return moments
+
+
+def _add_shape(acc: dict[Exponent3, int], scale: int, e_x: int, e_y: int, shift_x: bool) -> None:
+    # acc += scale * (x-z)^e_x y^e_y if shift_x, else scale * x^e_x (y-z)^e_y,
+    # binomially expanded
+    top = e_x if shift_x else e_y
+    c = scale
+    for i in range(top + 1):
+        key = (e_x - i, e_y, i) if shift_x else (e_x, e_y - i, i)
+        acc[key] = acc.get(key, 0) + c
+        c = -c * (top - i) // (i + 1)
+
+
+def _g_terms(d: Dims, moments: list[tuple[int, int]]) -> dict[Exponent3, int]:
+    m, n = d.m, d.n
+    acc: dict[Exponent3, int] = {}
+    for q, (s0, _) in enumerate(moments):
+        _add_shape(acc, s0, m - q, n + q + 2, True)
+        _add_shape(acc, -s0, m - q, n + q + 2, False)
+    return {e: v for e, v in acc.items() if v}
+
+
+def _h_terms(d: Dims, moments: list[tuple[int, int]]) -> dict[Exponent3, int]:
+    m, n = d.m, d.n
+    acc: dict[Exponent3, int] = {}
+    for q, (s0, s1) in enumerate(moments):
+        k = m - q
+        _add_shape(acc, (m + n + 2 + (n + 2) * (q - m)) * s0 + (n + 1) * s1, k, n + q + 1, True)
+        _add_shape(acc, (m + n + 2 + n * k) * s0 - (n + 1) * s1, k, n + q + 1, False)
+        if k:
+            _add_shape(acc, m * k * s0, k - 1, n + q + 2, True)
+            _add_shape(acc, -(m + 2) * k * s0, k - 1, n + q + 2, False)
+    return {e: v for e, v in acc.items() if v}
 
 
 def compute_g(d: Dims) -> MultiPoly3:
-    """The double sum g(x, y, z): homogeneous of degree m + n + 2."""
-    m, n = d.m, d.n
-    acc: dict[tuple[int, int, int], int] = {}
-    for s in range(m + n + 1):
-        for q in range(m + 1):
-            c = _double_sum_coeff(d, s, q)
-            if c == 0:
-                continue
-            _accumulate_shifted(acc, c, True, m - q, False, n + q + 2)
-            _accumulate_shifted(acc, -c, False, m - q, True, n + q + 2)
-    return MultiPoly3({e: v for e, v in acc.items() if v})
+    """The double sum g(x, y, z): homogeneous of degree m + n + 2,
+
+        g = sum_{s,q} c(s,q) [(x-z)^(m-q) y^(n+q+2) - x^(m-q) (y-z)^(n+q+2)]
+          = sum_q S0_q [(x-z)^(m-q) y^(n+q+2) - x^(m-q) (y-z)^(n+q+2)]
+
+    with c(s,q) = C(m+n+2,s) C(s,m-q) C(m+n-s,q) (-1)^(m+n+s+q+1) and
+    S0_q = sum_s c(s,q): each shape is expanded once per q.
+    """
+    return MultiPoly3._wrap(_g_terms(d, _moments(d)))
 
 
 def compute_h(d: Dims) -> MultiPoly3:
-    """The double sum h(x, y, z): homogeneous of degree m + n + 1.
+    """The double sum h(x, y, z): homogeneous of degree m + n + 1,
 
-    Terms carrying the scalar factor (m - q) are dropped when q = m, so the
+        h = sum_{s,q} c(s,q) [A (x-z)^(m-q) y^(n+q+1) + m(m-q) (x-z)^(m-q-1) y^(n+q+2)
+                              + B x^(m-q) (y-z)^(n+q+1) - (m+2)(m-q) x^(m-q-1) (y-z)^(n+q+2)]
+
+    with A = (m+n+2-s) + (n+2)(s-m+q) and B = (m+n+2-s) - n(s-m+q).  A and B
+    are linear in s, so with S0_q = sum_s c(s,q) and S1_q = sum_s s c(s,q)
+    the s-sum of each shape's scale is
+
+        A: (m+n+2 + (n+2)(q-m)) S0_q + (n+1) S1_q
+        B: (m+n+2 + n(m-q)) S0_q - (n+1) S1_q
+
+    and m(m-q) S0_q, -(m+2)(m-q) S0_q for the other two; each shape is
+    expanded once per q.  The (m - q) terms are dropped when q = m, so the
     exponent m - q - 1 is never formed negative.
     """
-    m, n = d.m, d.n
-    acc: dict[tuple[int, int, int], int] = {}
-    for s in range(m + n + 1):
-        for q in range(m + 1):
-            c = _double_sum_coeff(d, s, q)
-            if c == 0:
-                continue
-            _accumulate_shifted(acc, c * ((m + n + 2 - s) + (n + 2) * (s - m + q)), True, m - q, False, n + q + 1)
-            if m - q >= 1:
-                _accumulate_shifted(acc, c * m * (m - q), True, m - q - 1, False, n + q + 2)
-            _accumulate_shifted(acc, c * ((m + n + 2 - s) - n * (s - m + q)), False, m - q, True, n + q + 1)
-            if m - q >= 1:
-                _accumulate_shifted(acc, -c * (m + 2) * (m - q), False, m - q - 1, True, n + q + 2)
-    return MultiPoly3({e: v for e, v in acc.items() if v})
+    return MultiPoly3._wrap(_h_terms(d, _moments(d)))
 
 
 @lru_cache(maxsize=None)
 def compute_obstruction(d: Dims) -> CharacterPolys:
     """g, h and F together, with the structural invariants enforced.
 
+    F = -m(m+2) yz g - n(n+2) xz g - 2 xy g + xyz h is summed from shifted
+    copies of the integer term maps of g and h into one integer map.
+
     Raises :class:`InvariantViolation` if F fails integrality or any of the
     three homogeneity degrees is off; those can only mean a bug.
     """
     m, n = d.m, d.n
-    g = compute_g(d)
-    h = compute_h(d)
-    prefactor = MultiPoly3(
-        {
-            (0, 1, 1): -m * (m + 2),
-            (1, 0, 1): -n * (n + 2),
-            (1, 1, 0): -2,
-        }
-    )
-    F = prefactor * g + MultiPoly3.monomial((1, 1, 1)) * h
+    moments = _moments(d)
+    g_terms = _g_terms(d, moments)
+    h_terms = _h_terms(d, moments)
+    shifts = (((0, 1, 1), -m * (m + 2)), ((1, 0, 1), -n * (n + 2)), ((1, 1, 0), -2))
+    acc: dict[Exponent3, int] = {}
+    for (ex, ey, ez), c in g_terms.items():
+        for (dx, dy, dz), k in shifts:
+            key = (ex + dx, ey + dy, ez + dz)
+            acc[key] = acc.get(key, 0) + k * c
+    for (ex, ey, ez), c in h_terms.items():
+        key = (ex + 1, ey + 1, ez + 1)
+        acc[key] = acc.get(key, 0) + c
+    g = MultiPoly3._wrap(g_terms)
+    h = MultiPoly3._wrap(h_terms)
+    F = MultiPoly3._wrap({e: v for e, v in acc.items() if v})
     if not g.is_homogeneous(m + n + 2):
         raise InvariantViolation(f"g is not homogeneous of degree {m + n + 2} for {d}")
     if not h.is_homogeneous(m + n + 1):
@@ -268,6 +304,11 @@ def localized_component_poly(d: Dims, fc: FixedComponent, eps: int, cls: KahlerC
     """
     _check_eps(eps)
     _check_component(d, fc, cls)
+    return UniPoly(_component_coeffs(d, fc, eps))
+
+
+def _component_coeffs(d: Dims, fc: FixedComponent, eps: int) -> list[int]:
+    """The integer coefficients of :func:`localized_component_poly`."""
     m, n = d.m, d.n
     top = m + n + 2
     pow_k = int_power_table(-fc.r * eps, fc.kappa, top)
@@ -282,15 +323,22 @@ def localized_component_poly(d: Dims, fc: FixedComponent, eps: int, cls: KahlerC
             c = binomial(s, m - q) * binomial(m + n - s, q) * (-1) ** q
             int_convolve_into(inner, c, pow_r[m - q], pow_t[s - m + q])
         int_convolve_into(acc, binomial(m + n + 2, s) * fc.delta, inner, pow_k[top - s])
-    return UniPoly(acc)
+    return acc
 
 
 def localized_sum_poly(d: Dims, eps: int, cls: KahlerClass) -> UniPoly:
     """Both components' localized sum.  Its coefficient at degree m+n+2 is
     g(lam, mu, nu), at degree m+n+1 is -eps * h(lam, mu, nu), and for eps = 0
     the polynomial is the single monomial g(lam, mu, nu) t^(m+n+2)."""
+    return UniPoly(_sum_coeffs(d, eps, cls))
+
+
+def _sum_coeffs(d: Dims, eps: int, cls: KahlerClass) -> list[int]:
+    """The integer coefficients of :func:`localized_sum_poly`; both
+    components' lists have length m + n + 3 and add termwise."""
     first, second = fixed_components(d, cls)
-    return localized_component_poly(d, first, eps, cls) + localized_component_poly(d, second, eps, cls)
+    _check_eps(eps)
+    return [u + v for u, v in zip(_component_coeffs(d, first, eps), _component_coeffs(d, second, eps))]
 
 
 def localized_sum_poly_direct(d: Dims, eps: int, cls: KahlerClass) -> UniPoly:
@@ -333,16 +381,16 @@ def assemble_from_localization(d: Dims, cls: KahlerClass) -> Fraction:
     lam, mu, nu = cls
     m, n = d.m, d.n
     K = m + n
-    s_minus = localized_sum_poly(d, -1, cls)
-    s_plus = localized_sum_poly(d, +1, cls)
-    s_zero = localized_sum_poly(d, 0, cls)
-    diff = s_minus - s_plus
+    s_minus = _sum_coeffs(d, -1, cls)
+    s_plus = _sum_coeffs(d, +1, cls)
+    s_zero = _sum_coeffs(d, 0, cls)
+    diff = [a - b for a, b in zip(s_minus, s_plus)]
     first = sum(
-        ((-1) ** i * binomial(K + 1, i)) * diff.evaluate(K + 1 - 2 * i)
+        ((-1) ** i * binomial(K + 1, i)) * _homogeneous_value(diff, K + 1 - 2 * i, 1)
         for i in range(K + 2)
     )
     second = sum(
-        ((-1) ** i * binomial(K + 2, i)) * s_zero.evaluate(K + 2 - 2 * i)
+        ((-1) ** i * binomial(K + 2, i)) * _homogeneous_value(s_zero, K + 2 - 2 * i, 1)
         for i in range(K + 3)
     )
     return (K + 2) * lam * mu * nu * first - (

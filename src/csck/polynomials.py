@@ -25,7 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import gcd, isqrt, lcm
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .exact import InvariantViolation, general_binomial
@@ -63,25 +65,47 @@ def _format_terms(terms: list[tuple[tuple[int, ...], Fraction]], names: Sequence
     return " ".join(parts)
 
 
-class MultiPoly3:
-    """Sparse exact polynomial in the Kahler-coordinate variables (x, y, z)."""
+def _int_if_integral(value: Fraction | int) -> Fraction | int:
+    """``value`` as an ``int`` when it is integral, else as a ``Fraction``."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
-    # _int_form is filled on first evaluation; results built by __new__ leave it unset
+
+class MultiPoly3:
+    """Sparse exact polynomial in the Kahler-coordinate variables (x, y, z).
+
+    The constructor stores integral coefficients as ``int``, so integral
+    polynomials add and multiply in integers; :meth:`terms` and
+    :meth:`coefficient` return ``Fraction``.
+    """
+
+    # _int_form is filled on first evaluation; results built by _wrap leave it unset
     __slots__ = ("_terms", "_int_form")
 
     def __init__(self, terms: Mapping[Exponent3, Fraction | int] | Iterable[tuple[Exponent3, Fraction | int]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        data: dict[Exponent3, Fraction] = {}
+        data: dict[Exponent3, Fraction | int] = {}
         for exponent, coeff in items:
             e = tuple(int(v) for v in exponent)
             if len(e) != 3 or any(v < 0 for v in e):
                 raise ValueError(f"bad exponent triple {exponent!r}")
-            c = data.get(e, Fraction(0)) + Fraction(coeff)
+            c = data.get(e, 0) + _int_if_integral(coeff)
             if c:
                 data[e] = c
             else:
                 data.pop(e, None)
         self._terms = data
+
+    @classmethod
+    def _wrap(cls, data: dict[Exponent3, Fraction | int]) -> "MultiPoly3":
+        """Take ``data`` as the term map as it stands: exponent triples of
+        non-negative ints to nonzero ``int`` or ``Fraction`` coefficients.
+        Nothing is converted or checked."""
+        out = cls.__new__(cls)
+        out._terms = data
+        return out
 
     @classmethod
     def zero(cls) -> "MultiPoly3":
@@ -105,10 +129,10 @@ class MultiPoly3:
 
     def terms(self) -> list[tuple[Exponent3, Fraction]]:
         """Terms in canonical order (graded lex, largest first)."""
-        return sorted(self._terms.items(), key=lambda t: _term_key(t[0]), reverse=True)
+        return sorted(((e, Fraction(c)) for e, c in self._terms.items()), key=lambda t: _term_key(t[0]), reverse=True)
 
     def coefficient(self, exponent: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(int(v) for v in exponent), Fraction(0))
+        return Fraction(self._terms.get(tuple(int(v) for v in exponent), 0))
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -130,19 +154,15 @@ class MultiPoly3:
     def __add__(self, other: "MultiPoly3") -> "MultiPoly3":
         data = dict(self._terms)
         for e, c in other._terms.items():
-            s = data.get(e, Fraction(0)) + c
+            s = data.get(e, 0) + c
             if s:
                 data[e] = s
             else:
                 data.pop(e, None)
-        out = MultiPoly3.__new__(MultiPoly3)
-        out._terms = data
-        return out
+        return MultiPoly3._wrap(data)
 
     def __neg__(self) -> "MultiPoly3":
-        out = MultiPoly3.__new__(MultiPoly3)
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
+        return MultiPoly3._wrap({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "MultiPoly3") -> "MultiPoly3":
         return self + (-other)
@@ -150,28 +170,24 @@ class MultiPoly3:
     def __mul__(self, other: "MultiPoly3 | Fraction | int") -> "MultiPoly3":
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
-        data: dict[Exponent3, Fraction] = {}
+        data: dict[Exponent3, Fraction | int] = {}
         for (a0, a1, a2), ca in self._terms.items():
             for (b0, b1, b2), cb in other._terms.items():
                 e = (a0 + b0, a1 + b1, a2 + b2)
-                s = data.get(e, Fraction(0)) + ca * cb
+                s = data.get(e, 0) + ca * cb
                 if s:
                     data[e] = s
                 else:
                     data.pop(e, None)
-        out = MultiPoly3.__new__(MultiPoly3)
-        out._terms = data
-        return out
+        return MultiPoly3._wrap(data)
 
     __rmul__ = __mul__
 
     def scaled(self, factor: Fraction | int) -> "MultiPoly3":
-        f = Fraction(factor)
+        f = _int_if_integral(factor)
         if not f:
             return MultiPoly3.zero()
-        out = MultiPoly3.__new__(MultiPoly3)
-        out._terms = {e: c * f for e, c in self._terms.items()}
-        return out
+        return MultiPoly3._wrap({e: c * f for e, c in self._terms.items()})
 
     def __pow__(self, e: int) -> "MultiPoly3":
         if e < 0:
@@ -191,7 +207,8 @@ class MultiPoly3:
 
     def _integer_form(self) -> tuple[int, int, list[int], list[tuple[int, int, int, int, int]]]:
         """(den, D, max exponents, terms): den * self is integral, D is the total
-        degree (0 for zero) and each term is (ex, ey, ez, D - ex - ey - ez, den * c)."""
+        degree (0 for zero) and each term is (ex, ey, ez, D - ex - ey - ez, den * c),
+        sorted by (ez, ey, ex), largest first."""
         try:
             return self._int_form
         except AttributeError:
@@ -204,6 +221,7 @@ class MultiPoly3:
             # an integral polynomial shares its numerators rather than copying them
             num = c.numerator if c.denominator == den else c.numerator * (den // c.denominator)
             terms.append((ex, ey, ez, top - ex - ey - ez, num))
+        terms.sort(key=lambda t: (t[2], t[1], t[0]), reverse=True)
         self._int_form = (den, top, max_e, terms)
         return self._int_form
 
@@ -223,10 +241,17 @@ class MultiPoly3:
     def restrict_to_line(self, start: Sequence[Fraction | int], end: Sequence[Fraction | int]) -> "UniPoly":
         """The univariate polynomial t -> p((1 - t) * start + t * end).
 
-        Exact for arbitrary rational endpoints.  The coordinate forms are
-        scaled to a shared integer denominator, so the per-monomial
-        convolutions and their sum run over plain integers, with one exact
-        division per coefficient at the end.
+        Exact for arbitrary rational endpoints.  The endpoints are scaled to a
+        shared denominator L, so x, y and z become integer lines X, Y, Z in t,
+        and den * L^D * p(line) is expanded by nested Horner over the terms
+        sorted by (ez, ey), largest first:
+
+            sum_ez Z^ez sum_ey Y^ey sum_ex c L^(D - ex - ey - ez) X^ex.
+
+        Each (ez, ey) row is added from the power table of X alone, Horner in
+        Y runs over ey within an ez block and Horner in Z over the blocks, so
+        one row is live at a time.  The L padding means no homogeneity is
+        assumed.  One exact division per coefficient ends it.
         """
         s = [Fraction(v) for v in start]
         e = [Fraction(v) for v in end]
@@ -238,18 +263,28 @@ class MultiPoly3:
             return UniPoly(())
         den, top, max_e, terms = self._integer_form()
         scale = lcm(*(v.denominator for v in s + e))
-        lines = [(int(si * scale), int((ei - si) * scale)) for si, ei in zip(s, e)]
-        pows = [int_power_table(a, b, n) for (a, b), n in zip(lines, max_e)]
+        (x0, x1), (y0, y1), (z0, z1) = [(int(si * scale), int((ei - si) * scale)) for si, ei in zip(s, e)]
+        xs = int_power_table(x0, x1, max_e[0])
         pads = _powers(scale, top)
 
-        acc = [0] * (top + 1)
-        for ex, ey, ez, pad, c in terms:
-            conv = int_convolve(int_convolve(pows[0][ex], pows[1][ey]), pows[2][ez])
-            f = c * pads[pad]
-            for k, v in enumerate(conv):
-                if v:
-                    acc[k] += f * v
-        return UniPoly(Fraction(v, den * pads[top]) for v in acc)
+        outer: list[int] = []  # Horner in Z over the ez blocks
+        last_ez = None
+        for ez, block in groupby(terms, key=itemgetter(2)):
+            inner: list[int] = []  # Horner in Y over the ey rows of this block
+            last_ey = None
+            for ey, row in groupby(block, key=itemgetter(1)):
+                if last_ey is not None:
+                    inner = _times_line_power(inner, y0, y1, last_ey - ey)
+                for ex, _, _, pad, c in row:
+                    _add_scaled(inner, c * pads[pad], xs[ex])
+                last_ey = ey
+            inner = _times_line_power(inner, y0, y1, last_ey)
+            if last_ez is not None:
+                outer = _times_line_power(outer, z0, z1, last_ez - ez)
+            _add_scaled(outer, 1, inner)
+            last_ez = ez
+        outer = _times_line_power(outer, z0, z1, last_ez)
+        return UniPoly(Fraction(v, den * pads[top]) for v in outer)
 
     # -- serialization ------------------------------------------------------
 
@@ -299,15 +334,18 @@ def int_convolve_into(acc: list[int], scale: int, a: list[int], b: list[int]) ->
                 acc[i + j] += f * bj
 
 
-def int_convolve(a: list[int], b: list[int]) -> list[int]:
-    """Product of two integer coefficient lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
+def _add_scaled(acc: list[int], scale: int, row: list[int]) -> None:
+    """acc += scale * row in place, lengthening acc when row is longer."""
+    if len(acc) < len(row):
+        acc.extend([0] * (len(row) - len(acc)))
+    acc[: len(row)] = [u + scale * v for u, v in zip(acc, row)]
+
+
+def _times_line_power(p: list[int], const: int, lin: int, times: int) -> list[int]:
+    """p * (const + lin*t)^times, one linear factor at a time."""
+    for _ in range(times):
+        p = [const * u + lin * v for u, v in zip(p + [0], [0] + p)]
+    return p
 
 
 class UniPoly:
@@ -445,11 +483,7 @@ class TruncSeries2:
                 raise ValueError(f"bad exponent pair {exponent!r}")
             if e[0] + e[1] > truncation:
                 continue
-            if type(coeff) is not int:
-                coeff = Fraction(coeff)
-                if coeff.denominator == 1:
-                    coeff = coeff.numerator
-            c = data.get(e, 0) + coeff
+            c = data.get(e, 0) + _int_if_integral(coeff)
             if c:
                 data[e] = c
             else:

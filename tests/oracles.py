@@ -1,0 +1,97 @@
+"""Slow reference builds that faster code paths in ``csck`` replaced.
+
+Each is the earlier implementation, kept so that tests can compare the fast
+path against it term for term:
+
+* :func:`reference_g` and :func:`reference_h` expand the two shapes once for
+  every (s, q) of the double sums;
+* :func:`reference_F` assembles ``prefactor * g + xyz * h`` by the
+  ``MultiPoly3`` ring operations;
+* :func:`reference_restrict` substitutes a line into every monomial by two
+  integer convolutions and sums the products.
+"""
+from fractions import Fraction
+from math import lcm
+
+from csck.character import Dims, _double_sum_coeff
+from csck.exact import binomial
+from csck.polynomials import MultiPoly3, UniPoly, int_power_table
+
+
+def int_convolve(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] += ai * bj
+    return out
+
+
+def _accumulate_shifted(acc, scale, shift_x, e_x, shift_y, e_y):
+    # scale * (x-z if shift_x else x)^e_x * (y-z if shift_y else y)^e_y,
+    # binomially expanded into an integer coefficient map.
+    for i in range(e_x + 1) if shift_x else (0,):
+        cx = binomial(e_x, i) * (-1) ** i if shift_x else 1
+        for j in range(e_y + 1) if shift_y else (0,):
+            cy = binomial(e_y, j) * (-1) ** j if shift_y else 1
+            key = (e_x - i, e_y - j, i + j)
+            acc[key] = acc.get(key, 0) + scale * cx * cy
+
+
+def reference_g(d: Dims) -> MultiPoly3:
+    m, n = d.m, d.n
+    acc = {}
+    for s in range(m + n + 1):
+        for q in range(m + 1):
+            c = _double_sum_coeff(d, s, q)
+            if c == 0:
+                continue
+            _accumulate_shifted(acc, c, True, m - q, False, n + q + 2)
+            _accumulate_shifted(acc, -c, False, m - q, True, n + q + 2)
+    return MultiPoly3({e: v for e, v in acc.items() if v})
+
+
+def reference_h(d: Dims) -> MultiPoly3:
+    m, n = d.m, d.n
+    acc = {}
+    for s in range(m + n + 1):
+        for q in range(m + 1):
+            c = _double_sum_coeff(d, s, q)
+            if c == 0:
+                continue
+            _accumulate_shifted(acc, c * ((m + n + 2 - s) + (n + 2) * (s - m + q)), True, m - q, False, n + q + 1)
+            if m - q >= 1:
+                _accumulate_shifted(acc, c * m * (m - q), True, m - q - 1, False, n + q + 2)
+            _accumulate_shifted(acc, c * ((m + n + 2 - s) - n * (s - m + q)), False, m - q, True, n + q + 1)
+            if m - q >= 1:
+                _accumulate_shifted(acc, -c * (m + 2) * (m - q), False, m - q - 1, True, n + q + 2)
+    return MultiPoly3({e: v for e, v in acc.items() if v})
+
+
+def reference_F(d: Dims, g: MultiPoly3, h: MultiPoly3) -> MultiPoly3:
+    m, n = d.m, d.n
+    prefactor = MultiPoly3({(0, 1, 1): -m * (m + 2), (1, 0, 1): -n * (n + 2), (1, 1, 0): -2})
+    return prefactor * g + MultiPoly3.monomial((1, 1, 1)) * h
+
+
+def reference_restrict(p: MultiPoly3, start, end) -> UniPoly:
+    """t -> p((1 - t) * start + t * end), one pair of convolutions per monomial."""
+    s = [Fraction(v) for v in start]
+    e = [Fraction(v) for v in end]
+    terms = p.terms()
+    if not terms:
+        return UniPoly(())
+    den = lcm(*(c.denominator for _, c in terms))
+    top = max(sum(ex) for ex, _ in terms)
+    scale = lcm(*(v.denominator for v in s + e))
+    lines = [(int(si * scale), int((ei - si) * scale)) for si, ei in zip(s, e)]
+    pows = [int_power_table(a, b, top) for a, b in lines]
+    acc = [0] * (top + 1)
+    for (ex, ey, ez), c in terms:
+        conv = int_convolve(int_convolve(pows[0][ex], pows[1][ey]), pows[2][ez])
+        f = c.numerator * (den // c.denominator) * scale ** (top - ex - ey - ez)
+        for k, v in enumerate(conv):
+            acc[k] += f * v
+    return UniPoly(Fraction(v, den * scale**top) for v in acc)

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +23,8 @@ from csck.character import (
     slope,
 )
 from csck.exact import binomial, factorial
-from csck.polynomials import MultiPoly3, UniPoly, int_convolve, int_power_table
+from csck.polynomials import MultiPoly3, UniPoly, int_power_table
+from oracles import int_convolve, reference_F, reference_g, reference_h
 from test_polynomials import F_1_2
 
 # Independently derived coefficient tables (direct per-(s,q) summation with a
@@ -97,6 +102,79 @@ class TestObstruction:
         assert obj["m"] == 1 and obj["n"] == 2 and obj["degreeF"] == 7
         assert obj["F"][0] == {"e": [2, 3, 2], "c": "120"}
         assert {"g", "h"} <= set(obj)
+
+
+def _assert_build_matches_reference(d):
+    polys = compute_obstruction(d)
+    g, h = reference_g(d), reference_h(d)
+    assert dict(polys.g.terms()) == dict(compute_g(d).terms()) == dict(g.terms()), d
+    assert dict(polys.h.terms()) == dict(compute_h(d).terms()) == dict(h.terms()), d
+    assert dict(polys.F.terms()) == dict(reference_F(d, g, h).terms()), d
+
+
+class TestBuildAgainstReference:
+    """The per-q moment build and the integer assembly of F against the
+    per-(s, q) expansion and the ring-operation assembly."""
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_every_pair_up_to_12(self, m):
+        for n in range(1, 13):
+            _assert_build_matches_reference(Dims(m, n))
+
+    @pytest.mark.parametrize("m, n", [(29, 31), (1, 40), (40, 1)])
+    def test_far_pairs(self, m, n):
+        _assert_build_matches_reference(Dims(m, n))
+
+    def test_integral_F_reads_back_as_fractions(self):
+        F = compute_obstruction(Dims(3, 5)).F
+        assert all(type(c) is Fraction for _, c in F.terms())
+        for e, c in F.terms():
+            value = F.coefficient(e)
+            assert type(value) is Fraction and value == c
+        assert type(F.coefficient((0, 0, 0))) is Fraction
+
+
+# Corrupted integer builds: one term of the wrong degree in g, then a g term
+# that is not an integer, which leaves F non-integral.
+_CORRUPTIONS = {
+    "wrong-degree": ("g is not homogeneous", "terms[(0, 0, 0)] = 1"),
+    "non-integer": ("F has a non-integer coefficient", "terms[max(terms)] += Fraction(1, 7)"),
+}
+
+_CORRUPTED_BUILD = """
+from fractions import Fraction
+from csck import character
+from csck.exact import InvariantViolation
+
+real = character._g_terms
+
+def corrupted(d, moments):
+    terms = real(d, moments)
+    {edit}
+    return terms
+
+character._g_terms = corrupted
+try:
+    character.compute_obstruction(character.Dims(1, 2))
+except InvariantViolation as exc:
+    if "{message}" not in str(exc):
+        raise SystemExit(f"the wrong check fired: {{exc}}")
+else:
+    raise SystemExit("a corrupted build was accepted")
+"""
+
+
+class TestObstructionInvariants:
+    @pytest.mark.parametrize("flags", [(), ("-O",)])
+    @pytest.mark.parametrize("kind", sorted(_CORRUPTIONS))
+    def test_corrupted_build_raises(self, kind, flags):
+        # proven identities, so they must fail loudly also under python -O
+        message, edit = _CORRUPTIONS[kind]
+        script = _CORRUPTED_BUILD.format(edit=edit, message=message)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestSlope:

@@ -8,7 +8,11 @@ on fixed results, so its layouts are pinned without running the battery; the
 deep battery's JSON report is pinned once more on a real run.
 """
 import hashlib
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +65,7 @@ CASES["meta-csv"] = ("scan", "--m", "1..3", "--n", "2..4", "--format", "csv", "-
 # pairs in all three witness modes, and one far pair
 CASES["scan-wide-json"] = ("scan", "--m", "10", "--n", "9..12", "--all-pairs", "--format", "json", "--no-meta")
 CASES["scan-far-json"] = ("scan", "--m", "24", "--n", "26", "--format", "json", "--no-meta")
+CASES["scan-far49-json"] = ("scan", "--m", "49", "--n", "51", "--format", "json", "--no-meta")
 
 EXPECTED = {
     "character0-json": "353c05a1762efce5a8d27c312e6c9c66a0809139c12c312ff42c375d5c2f6bab",
@@ -103,6 +108,7 @@ EXPECTED = {
     "scan0-text": "47e44a7b5fba2afb9f4de250f761f71be5d38a904d8978a1f59467f7b0330922",
     "scan0-text-approx": "47e44a7b5fba2afb9f4de250f761f71be5d38a904d8978a1f59467f7b0330922",
     "scan-far-json": "d79fb78eeec5c7e1386878d15fd57bacd1f0da202800726a0300c6043bb382d8",
+    "scan-far49-json": "e2c1b8e2559f6cc003ae7fb38dbe0788787814b54f04193452db1d279bfd207a",
     "scan-wide-json": "92f7ffa150b49a08bf0027553d178dc1a5077c742285c1122f57df5ba7939f6d",
     "scan1-csv": "692cb39524ad97b61bf28663aabd1807e101e0a3bf5ac05150be289104ba7c41",
     "scan1-csv-approx": "5bf4e7153414e324d8ba01b7bcafd5df33ccd8441e7a1a3942d495300a8f739a",
@@ -147,3 +153,16 @@ def test_deep_battery_bytes_are_pinned(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEEP_BATTERY_SHA256
+
+
+# the farthest pair the dimension cap allows; the timeout guards against a
+# return of the cost cliff that once made this scan take minutes
+FAR_PAIR_ARGV = ("scan", "--m", "99", "--n", "100", "--format", "json", "--no-meta")
+FAR_PAIR_SHA256 = "75d5492f7a284dd4918f7f7b710e6f0afad87f719ef36f194908132e9b79bd44"
+
+
+def test_far_pair_bytes_are_pinned_within_a_minute():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-m", "csck", *FAR_PAIR_ARGV], env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == FAR_PAIR_SHA256

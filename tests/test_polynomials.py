@@ -32,6 +32,7 @@ from csck.polynomials import (
     sturm_chain,
     sturm_isolate,
 )
+from oracles import reference_restrict
 
 # The golden 13-term polynomial for (m, n) = (1, 2), transcribed term by term.
 F_1_2 = MultiPoly3(
@@ -648,6 +649,42 @@ class TestIntegerFormAgainstFractions:
                 d = Dims(m, n)
                 F, c1 = compute_obstruction(d).F, anticanonical_class(d)
                 assert F.evaluate(c1) == _fraction_evaluate(F, c1), (m, n)
+
+
+_EXPONENTS = st.tuples(*[st.integers(0, 6)] * 3)
+_RESTRICTION_POLYS = st.one_of(
+    _POLYS3,
+    st.dictionaries(_EXPONENTS, st.one_of(st.integers(-9, 9), _RATIONALS), max_size=12).map(MultiPoly3),
+    st.builds(MultiPoly3.constant, _RATIONALS),
+    st.builds(MultiPoly3.monomial, _EXPONENTS, st.one_of(st.integers(-9, 9), _RATIONALS)),
+)
+# endpoints with zero coordinates often: a zero line coordinate or direction
+_ENDPOINTS = st.tuples(*[st.one_of(st.just(0), _COORDS)] * 3)
+
+
+class TestRestrictionAgainstConvolution:
+    """The nested Horner restriction against the per-monomial convolutions."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_RESTRICTION_POLYS, _ENDPOINTS, _ENDPOINTS)
+    def test_matches_per_monomial_convolution(self, p, start, end):
+        assume(tuple(map(Fraction, start)) != tuple(map(Fraction, end)))
+        assert p.restrict_to_line(start, end) == reference_restrict(p, start, end)
+
+    def test_zero_constant_and_single_monomials(self):
+        line = ((Fraction(1, 2), 0, 3), (0, Fraction(-2, 3), 1))
+        assert MultiPoly3.zero().restrict_to_line(*line) == UniPoly(())
+        assert MultiPoly3.constant(Fraction(-5, 3)).restrict_to_line(*line) == UniPoly([Fraction(-5, 3)])
+        for e in ((0, 0, 0), (3, 0, 0), (0, 2, 0), (0, 0, 4), (1, 2, 3), (5, 0, 1)):
+            p = MultiPoly3.monomial(e, Fraction(7, 4))
+            assert p.restrict_to_line(*line) == reference_restrict(p, *line), e
+
+    def test_scan_witness_segments(self):
+        for m, n in ((1, 2), (3, 7), (9, 10), (10, 12)):
+            row = cone.scan_pair(m, n)
+            F = compute_obstruction(Dims(m, n)).F
+            ends = (row.witness_start, row.witness_end)
+            assert F.restrict_to_line(*ends) == reference_restrict(F, *ends), (m, n)
 
 
 def _fraction_horner(p, point):
