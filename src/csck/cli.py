@@ -16,8 +16,9 @@ import json
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import __version__, cone, verification
 from .character import Dims, InvariantViolation, KahlerClass, compute_obstruction, slope
@@ -112,11 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args: argparse.Namespace, params: dict, body: dict | list[str]) -> None:
+def _emit(args: argparse.Namespace, params: dict, body: dict | Iterable[str]) -> None:
     """Write a report: a JSON object, or text lines (plain or CSV).
 
     The run-metadata header goes first unless ``--no-meta`` is set: a
-    ``meta`` key for JSON, ``# key=value`` comment lines for text.
+    ``meta`` key for JSON, ``# key=value`` comment lines for text.  Text
+    lines are written as the iterable yields them, so a long report is never
+    held whole.
     """
     if not args.no_meta:
         meta = {
@@ -130,15 +133,26 @@ def _emit(args: argparse.Namespace, params: dict, body: dict | list[str]) -> Non
             body = {"meta": meta, **body}
         else:
             header = [f"# {k}={meta[k]}" for k in ("tool", "version", "command", "generated_at")]
-            body = header + [f"# params={json.dumps(params)}"] + body
-    text = json.dumps(body, indent=2) + "\n" if isinstance(body, dict) else "\n".join(body) + "\n"
-    if args.out is not None:
-        try:
-            args.out.write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
-    else:
-        sys.stdout.write(text)
+            body = chain(header, [f"# params={json.dumps(params)}"], body)
+    lines = [json.dumps(body, indent=2)] if isinstance(body, dict) else body
+    if args.out is None:
+        _write_lines(sys.stdout, lines)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as out:
+            _write_lines(out, lines)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
+
+
+def _write_lines(out: TextIO, lines: Iterable[str]) -> None:
+    """The lines joined by newlines, plus one final newline."""
+    sep = ""
+    for line in lines:
+        out.write(sep)
+        out.write(line)
+        sep = "\n"
+    out.write("\n")
 
 
 def _cell(value) -> str:
@@ -151,9 +165,11 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _csv(header: Sequence[str], rows: Iterable[dict]) -> list[str]:
+def _csv(header: Sequence[str], rows: Iterable[dict]) -> Iterator[str]:
     """A header line and one line per row, each row's cells read by column name."""
-    return [",".join(header)] + [",".join(_cell(row[k]) for k in header) for row in rows]
+    yield ",".join(header)
+    for row in rows:
+        yield ",".join(_cell(row[k]) for k in header)
 
 
 def _approx(args: argparse.Namespace, **values) -> dict:
@@ -296,18 +312,18 @@ def _cmd_sample_face(args: argparse.Namespace) -> int:
     samples = cone.sample_face(_dims(args), args.resolution)
     params = {"m": args.m, "n": args.n, "resolution": args.resolution}
     if args.format == "json":
-        body = {"samples": [{**s.to_json(), **_approx(args, point=s.point.as_class())} for s in samples]}
+        body = {
+            "samples": [{**s.to_json(), **_approx(args, point=(s.point.x, s.point.y, s.point.z))} for s in samples]
+        }
     elif args.format == "csv":
         header = ("x", "y", "z", "sign", "region") + (("x_approx", "y_approx", "z_approx") if args.approx else ())
-        rows = []
-        for s in samples:
-            coords = dict(zip("xyz", s.point.as_class()))
-            rows.append({**coords, "sign": SIGN_NAMES[s.sign], "region": s.region, **_approx(args, **coords)})
+        points = ((s, {"x": s.point.x, "y": s.point.y, "z": s.point.z}) for s in samples)
+        rows = ({**xyz, "sign": SIGN_NAMES[s.sign], "region": s.region, **_approx(args, **xyz)} for s, xyz in points)
         body = _csv(header, rows)
     else:
-        body = [
+        body = (
             f"({s.point.x}, {s.point.y}, {s.point.z}) sign={SIGN_NAMES[s.sign]} region={s.region}" for s in samples
-        ]
+        )
     _emit(args, params, body)
     return EXIT_OK
 

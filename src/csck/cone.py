@@ -17,13 +17,13 @@ interval by a sign change of the square-free restriction.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .character import Dims, InvariantViolation, KahlerClass, anticanonical_class, compute_obstruction
 from .exact import binomial, sign
-from .polynomials import RootInterval, UniPoly, sturm_isolate
+from .polynomials import MultiPoly3, RootInterval, UniPoly, _homogeneous_value, _int_coeffs, sturm_isolate
 
 REGION_INSIDE = "inside"
 REGION_BOUNDARY = "boundary"
@@ -38,7 +38,8 @@ DEFAULT_WIDTH = Fraction(1, 2**20)
 # default lengthens the rationals every sign evaluation multiplies.
 MIN_WIDTH = Fraction(1, 2**2048)
 
-# sample_face builds every point before any output; R = 500 is 124,251 points
+# sample_face yields its points one lattice row at a time, but R = 500 is
+# still 124,251 points, each a line of output
 MAX_RESOLUTION = 500
 
 # The largest m or n a command accepts; F is built whole, of degree m + n + 4.
@@ -79,26 +80,33 @@ def vertex_c(d: Dims) -> FacePoint:
     return FacePoint(c1.x * q, c1.y * q, c1.z * q)
 
 
+def _region(d: Dims, x, y, z) -> str:
+    """Region label of a class with x + y + z > 0 against the triangle ABC.
+
+    The barycentric coordinates of the class scaled onto the face, each
+    multiplied by 2(x + y + z) > 0, are 2x - (m+2)z, 2y - (n+2)z and
+    (m+n+6)z; only their signs matter, so no division is needed and integer
+    coordinates stay integers.
+    """
+    alpha = 2 * x - (d.m + 2) * z
+    beta = 2 * y - (d.n + 2) * z
+    if alpha > 0 and beta > 0 and z > 0:
+        return REGION_INSIDE
+    if alpha < 0 or beta < 0 or z < 0:
+        return REGION_OUTSIDE
+    return REGION_BOUNDARY
+
+
 def in_kahler_triangle(d: Dims, c: KahlerClass) -> str:
     """Classify a class against the certified triangle ABC.
 
-    The class is scaled onto the face first (impossible when x+y+z <= 0).
-    Only "inside" certifies a Kahler class; "outside" and "boundary" make no
-    claim about the actual Kahler cone.
+    Its ray meets the face only when x+y+z > 0.  Only "inside" certifies a
+    Kahler class; "outside" and "boundary" make no claim about the actual
+    Kahler cone.
     """
-    total = c.x + c.y + c.z
-    if total <= 0:
+    if c.x + c.y + c.z <= 0:
         return REGION_NOT_NORMALIZABLE
-    x, y, z = c.x / total, c.y / total, c.z / total
-    scale = d.m + d.n + 6
-    gamma = z * scale / 2
-    alpha = x - gamma * Fraction(d.m + 2, scale)
-    beta = y - gamma * Fraction(d.n + 2, scale)
-    if alpha > 0 and beta > 0 and gamma > 0:
-        return REGION_INSIDE
-    if alpha < 0 or beta < 0 or gamma < 0:
-        return REGION_OUTSIDE
-    return REGION_BOUNDARY
+    return _region(d, c.x, c.y, c.z)
 
 
 def limit_l1(d: Dims) -> Fraction:
@@ -385,6 +393,9 @@ def scan_range(
         if all_pairs or m < n
     ]
     if jobs > 1 and len(pairs) > 1:
+        # imported here: the pool machinery loads multiprocessing, which no other path needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(pairs))) as pool:
             rows = list(pool.map(_scan_pair_tuple, pairs))
     else:
@@ -406,18 +417,29 @@ class FaceSample:
         }
 
 
-def sample_face(d: Dims, resolution: int) -> list[FaceSample]:
+def sample_face(d: Dims, resolution: int) -> Iterator[FaceSample]:
     """Signs and region labels on the interior lattice of the face:
-    points (i, j, k)/R with i + j + k = R and i, j, k >= 1."""
+    points (i, j, k)/R with i + j + k = R and i, j, k >= 1, in order of i,
+    then j.
+
+    The arguments are checked, and F built, when this is called; the samples
+    are then produced one lattice row at a time as the iterator is read.
+    """
     if resolution < 3:
         raise ValueError(f"resolution must be at least 3, the first with an interior point, got {resolution}")
     if resolution > MAX_RESOLUTION:
         raise ValueError(f"resolution must be at most {MAX_RESOLUTION}, got {resolution}")
-    samples = []
-    for i in range(1, resolution - 1):
-        for j in range(1, resolution - i):
-            k = resolution - i - j
-            point = FacePoint(Fraction(i, resolution), Fraction(j, resolution), Fraction(k, resolution))
-            cls = point.as_class()
-            samples.append(FaceSample(point, sign_at(d, cls), in_kahler_triangle(d, cls)))
-    return samples
+    return _face_rows(d, compute_obstruction(d).F, resolution)
+
+
+def _face_rows(d: Dims, f: MultiPoly3, r: int) -> Iterator[FaceSample]:
+    # F is homogeneous and R > 0, so F(i/R, j/R, k/R) has the sign of the
+    # integer F(i, j, k); row i is the line (i, t, R - i - t), restricted once
+    # and taken at t = j by integer Horner.
+    coords = [Fraction(v, r) for v in range(r)]
+    for i in range(1, r - 1):
+        row = _int_coeffs(f.restrict_to_line((i, 0, r - i), (i, 1, r - i - 1)))
+        for j in range(1, r - i):
+            k = r - i - j
+            point = FacePoint(coords[i], coords[j], coords[k])
+            yield FaceSample(point, sign(_homogeneous_value(row, j, 1)), _region(d, i, j, k))

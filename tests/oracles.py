@@ -8,12 +8,25 @@ path against it term for term:
 * :func:`reference_F` assembles ``prefactor * g + xyz * h`` by the
   ``MultiPoly3`` ring operations;
 * :func:`reference_restrict` substitutes a line into every monomial by two
-  integer convolutions and sums the products.
+  integer convolutions and sums the products;
+* :func:`reference_in_kahler_triangle` scales a class onto the face and
+  reads its barycentric coordinates in ``Fraction``;
+* :func:`reference_sample_face` evaluates F and classifies the region at
+  every lattice point on its own.
 """
 from fractions import Fraction
 from math import lcm
 
-from csck.character import Dims, _double_sum_coeff
+from csck.character import Dims, KahlerClass, _double_sum_coeff
+from csck.cone import (
+    REGION_BOUNDARY,
+    REGION_INSIDE,
+    REGION_NOT_NORMALIZABLE,
+    REGION_OUTSIDE,
+    FacePoint,
+    FaceSample,
+    sign_at,
+)
 from csck.exact import binomial
 from csck.polynomials import MultiPoly3, UniPoly, int_power_table
 
@@ -95,3 +108,33 @@ def reference_restrict(p: MultiPoly3, start, end) -> UniPoly:
         for k, v in enumerate(conv):
             acc[k] += f * v
     return UniPoly(Fraction(v, den * scale**top) for v in acc)
+
+
+def reference_in_kahler_triangle(d: Dims, c: KahlerClass) -> str:
+    """The region of a class by its barycentric coordinates on the face."""
+    total = c.x + c.y + c.z
+    if total <= 0:
+        return REGION_NOT_NORMALIZABLE
+    x, y, z = c.x / total, c.y / total, c.z / total
+    scale = d.m + d.n + 6
+    gamma = z * scale / 2
+    alpha = x - gamma * Fraction(d.m + 2, scale)
+    beta = y - gamma * Fraction(d.n + 2, scale)
+    if alpha > 0 and beta > 0 and gamma > 0:
+        return REGION_INSIDE
+    if alpha < 0 or beta < 0 or gamma < 0:
+        return REGION_OUTSIDE
+    return REGION_BOUNDARY
+
+
+def reference_sample_face(d: Dims, resolution: int) -> list[FaceSample]:
+    """Every interior lattice point of the face, with F evaluated and the
+    region classified at each point on its own."""
+    samples = []
+    for i in range(1, resolution - 1):
+        for j in range(1, resolution - i):
+            k = resolution - i - j
+            point = FacePoint(Fraction(i, resolution), Fraction(j, resolution), Fraction(k, resolution))
+            cls = point.as_class()
+            samples.append(FaceSample(point, sign_at(d, cls), reference_in_kahler_triangle(d, cls)))
+    return samples

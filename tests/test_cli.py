@@ -214,7 +214,7 @@ def test_exponent_notation_is_usage_error_at_once():
 
 
 def test_huge_resolution_is_usage_error_at_once():
-    # sample_face builds every point before writing, so an uncapped 10^9 would run for days
+    # sample_face streams its rows, but an uncapped 10^9 would still write for days
     src = Path(__file__).resolve().parent.parent / "src"
     cmd = [sys.executable, "-m", "csck", "sample-face", "-m", "1", "-n", "2", "--resolution", "1000000000"]
     env = {**os.environ, "PYTHONPATH": str(src)}

@@ -166,3 +166,54 @@ def test_far_pair_bytes_are_pinned_within_a_minute():
     proc = subprocess.run([sys.executable, "-m", "csck", *FAR_PAIR_ARGV], env=env, capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == FAR_PAIR_SHA256
+
+
+# the largest face the resolution cap allows: its rows are written as they
+# are made, so the peak RSS stays near that of a small face
+FAR_FACE_ARGV = ("sample-face", "-m", "9", "-n", "10", "--resolution", "500", "--format", "csv", "--no-meta")
+FAR_FACE_SHA256 = "251d7212ae210581c34cc6e91b0ecf9f08f389f27197eb7bb44ab78242947a9c"
+FAR_FACE_MAX_RSS_MB = 64
+
+
+# Runs the command with the rest of its arguments, stdout to the file named
+# first, and prints its exit code and peak RSS in KiB.  Linux counts the memory
+# of the forking process into the peak RSS of a child, so the command is started
+# from this fresh interpreter rather than from the test process.
+_PEAK_RSS_RUNNER = """
+import resource, subprocess, sys
+with open(sys.argv[1], "wb") as out:
+    code = subprocess.run(sys.argv[2:], stdout=out, timeout=60).returncode
+print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_far_face_bytes_are_pinned_within_a_minute_and_bounded_memory(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    target = tmp_path / "face.csv"
+    runner = [sys.executable, "-c", _PEAK_RSS_RUNNER, str(target), sys.executable, "-m", "csck", *FAR_FACE_ARGV]
+    proc = subprocess.run(runner, env=env, capture_output=True, text=True, timeout=90)
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == FAR_FACE_SHA256
+    assert peak_kib / 1024 < FAR_FACE_MAX_RSS_MB
+
+
+FACE_CSV_ARGV = ["sample-face", "-m", "9", "-n", "10", "--resolution", "60", "--format", "csv", "--no-meta"]
+
+
+def test_face_out_file_has_the_stdout_bytes(tmp_path, capsys):
+    assert main(FACE_CSV_ARGV) == 0
+    stdout = capsys.readouterr().out
+    target = tmp_path / "face.csv"
+    assert main(FACE_CSV_ARGV + ["--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_text(encoding="utf-8") == stdout
+
+
+def test_face_unwritable_out_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "face.csv"
+    assert main(FACE_CSV_ARGV + ["--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(target) in captured.err

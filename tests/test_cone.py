@@ -1,8 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from csck.character import Dims, KahlerClass
 from csck.cli import main
@@ -27,6 +33,7 @@ from csck.cone import (
     sign_at,
     vertex_c,
 )
+from oracles import reference_in_kahler_triangle, reference_sample_face
 
 
 class TestFaceGeometry:
@@ -192,7 +199,7 @@ class TestScan:
 
 class TestSampleFace:
     def test_resolution_three(self):
-        samples = sample_face(Dims(1, 2), 3)
+        samples = list(sample_face(Dims(1, 2), 3))
         assert len(samples) == 1
         only = samples[0]
         assert (only.point.x, only.point.y, only.point.z) == (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
@@ -215,6 +222,46 @@ class TestSampleFace:
     def test_resolution_past_cap_rejected(self):
         with pytest.raises(ValueError, match="at most"):
             sample_face(Dims(1, 2), MAX_RESOLUTION + 1)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rows_match_per_point_path(self, m, n):
+        d = Dims(m, n)
+        for resolution in sorted({3, 8, 12, 2 * (m + n + 6)}):
+            rows = [(s.point, s.sign, s.region) for s in sample_face(d, resolution)]
+            assert rows == [(s.point, s.sign, s.region) for s in reference_sample_face(d, resolution)]
+
+    def test_zero_and_boundary_rows(self):
+        # m = n puts the vertex C = (3, 3, 2)/8 on the lattice, where F(c1) = 0
+        samples = list(sample_face(Dims(1, 1), 8))
+        at_c = [s for s in samples if s.point == FacePoint(Fraction(3, 8), Fraction(3, 8), Fraction(1, 4))]
+        assert [(s.sign, s.region) for s in at_c] == [(0, REGION_BOUNDARY)]
+        assert sum(s.sign == 0 for s in samples) > 1
+
+
+_RATIONAL_COORDS = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+class TestRegionRule:
+    @given(
+        st.integers(1, MAX_DIM),
+        st.integers(1, MAX_DIM),
+        st.tuples(_RATIONAL_COORDS, _RATIONAL_COORDS, _RATIONAL_COORDS),
+    )
+    def test_matches_scaled_barycentric_rule(self, m, n, coords):
+        d = Dims(m, n)
+        c = KahlerClass(*coords)
+        assert in_kahler_triangle(d, c) == reference_in_kahler_triangle(d, c)
+
+    @pytest.mark.parametrize("m,n", [(1, 2), (1, 1), (7, 3)])
+    def test_matches_on_lattice_and_edges(self, m, n):
+        # the vertices, the edge points and C itself, scaled and unscaled
+        d = Dims(m, n)
+        for r in (1, 2, m + n + 6):
+            for i in range(-1, r + 2):
+                for j in range(-1, r + 2):
+                    c = KahlerClass(i, j, r - i - j)
+                    assert in_kahler_triangle(d, c) == reference_in_kahler_triangle(d, c)
 
 
 class _RecordingPool:
@@ -240,7 +287,7 @@ class TestJobsCap:
     @pytest.fixture(autouse=True)
     def recording_pool(self, monkeypatch):
         _RecordingPool.created = []
-        monkeypatch.setattr("csck.cone.ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
 
     def test_workers_never_exceed_pairs(self):
         rows = scan_range(1, 2, 2, 3, jobs=MAX_JOBS)
@@ -314,3 +361,13 @@ class TestWidthFloor:
         assert report.roots
         for root in report.roots:
             assert root.interval.hi - root.interval.lo <= MIN_WIDTH
+
+
+def test_import_leaves_process_pool_unloaded():
+    # only a scan that fans out needs multiprocessing; importing it costs every command
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, csck; print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
