@@ -307,6 +307,24 @@ def localized_component_poly(d: Dims, fc: FixedComponent, eps: int, cls: KahlerC
     return UniPoly(_component_coeffs(d, fc, eps))
 
 
+@lru_cache(maxsize=None)
+def _component_weights(d: Dims) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """For s = 0..m+n: C(m+n+2, s) and the pairs (q, C(s, m-q) C(m+n-s, q) (-1)^q)
+    over the q range where that weight is nonzero, 0 <= s-m+q <= n.  They
+    depend on the dimensions alone, not on the component, class or eps."""
+    m, n = d.m, d.n
+    return tuple(
+        (
+            binomial(m + n + 2, s),
+            tuple(
+                (q, binomial(s, m - q) * binomial(m + n - s, q) * (-1) ** q)
+                for q in range(max(0, m - s), min(m, m + n - s) + 1)
+            ),
+        )
+        for s in range(m + n + 1)
+    )
+
+
 def _component_coeffs(d: Dims, fc: FixedComponent, eps: int) -> list[int]:
     """The integer coefficients of :func:`localized_component_poly`."""
     m, n = d.m, d.n
@@ -315,14 +333,12 @@ def _component_coeffs(d: Dims, fc: FixedComponent, eps: int) -> list[int]:
     pow_r = int_power_table(-fc.a * eps, fc.rho, m)
     pow_t = int_power_table(-fc.b * eps, fc.tau, n)
     acc = [0] * (top + 1)
-    for s in range(m + n + 1):
-        # the q-sum, of degree s; C(s, m-q) C(m+n-s, q) != 0 exactly on this
-        # q range, where 0 <= s-m+q <= n
+    for s, (outer, weights) in enumerate(_component_weights(d)):
+        # the q-sum, of degree s
         inner = [0] * (s + 1)
-        for q in range(max(0, m - s), min(m, m + n - s) + 1):
-            c = binomial(s, m - q) * binomial(m + n - s, q) * (-1) ** q
+        for q, c in weights:
             int_convolve_into(inner, c, pow_r[m - q], pow_t[s - m + q])
-        int_convolve_into(acc, binomial(m + n + 2, s) * fc.delta, inner, pow_k[top - s])
+        int_convolve_into(acc, outer * fc.delta, inner, pow_k[top - s])
     return acc
 
 

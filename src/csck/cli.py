@@ -16,7 +16,7 @@ import json
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -118,8 +118,8 @@ def _emit(args: argparse.Namespace, params: dict, body: dict | Iterable[str]) ->
 
     The run-metadata header goes first unless ``--no-meta`` is set: a
     ``meta`` key for JSON, ``# key=value`` comment lines for text.  Text
-    lines are written as the iterable yields them, so a long report is never
-    held whole.
+    lines, and the items of a JSON value given as an iterator, are written as
+    they are yielded, so a long report is never held whole.
     """
     if not args.no_meta:
         meta = {
@@ -134,7 +134,7 @@ def _emit(args: argparse.Namespace, params: dict, body: dict | Iterable[str]) ->
         else:
             header = [f"# {k}={meta[k]}" for k in ("tool", "version", "command", "generated_at")]
             body = chain(header, [f"# params={json.dumps(params)}"], body)
-    lines = [json.dumps(body, indent=2)] if isinstance(body, dict) else body
+    lines = _json_lines(body) if isinstance(body, dict) else body
     if args.out is None:
         _write_lines(sys.stdout, lines)
         return
@@ -143,6 +143,35 @@ def _emit(args: argparse.Namespace, params: dict, body: dict | Iterable[str]) ->
             _write_lines(out, lines)
     except OSError as exc:
         raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
+
+
+# one encoder for every piece; a batch of list items costs one encode call
+_JSON = json.JSONEncoder(indent=2)
+_JSON_BATCH = 256
+
+
+def _json_lines(obj: dict) -> Iterator[str]:
+    """The text of ``json.dumps(obj, indent=2)`` for a non-empty ``obj``, in
+    pieces.  A value that is an iterator is written as a list, encoded
+    ``_JSON_BATCH`` items at a time, so the list is never held whole."""
+    yield "{"
+    last = len(obj) - 1
+    for index, (key, value) in enumerate(obj.items()):
+        head, tail = f"  {json.dumps(key)}: ", "," if index < last else ""
+        if not isinstance(value, Iterator):
+            yield head + _JSON.encode(value).replace("\n", "\n  ") + tail
+            continue
+        pending = None
+        while batch := list(islice(value, _JSON_BATCH)):
+            yield head + "[" if pending is None else pending + ","
+            # the batch's items without the brackets, one level deeper
+            pending = "  " + _JSON.encode(batch)[2:-2].replace("\n", "\n  ")
+        if pending is None:
+            yield head + "[]" + tail
+        else:
+            yield pending
+            yield "  ]" + tail
+    yield "}"
 
 
 def _write_lines(out: TextIO, lines: Iterable[str]) -> None:
@@ -312,9 +341,7 @@ def _cmd_sample_face(args: argparse.Namespace) -> int:
     samples = cone.sample_face(_dims(args), args.resolution)
     params = {"m": args.m, "n": args.n, "resolution": args.resolution}
     if args.format == "json":
-        body = {
-            "samples": [{**s.to_json(), **_approx(args, point=(s.point.x, s.point.y, s.point.z))} for s in samples]
-        }
+        body = {"samples": ({**s.to_json(), **_approx(args, point=(s.point.x, s.point.y, s.point.z))} for s in samples)}
     elif args.format == "csv":
         header = ("x", "y", "z", "sign", "region") + (("x_approx", "y_approx", "z_approx") if args.approx else ())
         points = ((s, {"x": s.point.x, "y": s.point.y, "z": s.point.z}) for s in samples)

@@ -76,28 +76,40 @@ class SeriesContext:
     psi: TruncSeries2
 
 
+def _shifted_binomial(e_x: int, e_y: int, cap: int) -> TruncSeries2:
+    """(1 + x)^e_x (1 + y)^e_y - 1, truncated past total degree cap."""
+    return TruncSeries2.binomial_series(e_x, e_y, cap) - TruncSeries2.constant(1, cap)
+
+
 def build_series_context(d: Dims, fc: FixedComponent, eps: int, zeta: int, cls: KahlerClass) -> SeriesContext:
     _check_eps(eps)
     _check_component(d, fc, cls)
     cap = d.m + d.n
     beta = zeta * fc.rho - eps * fc.a
     gamma = zeta * fc.tau - eps * fc.b
-    one = TruncSeries2.constant(1, cap)
-    phi = TruncSeries2.binomial_series(-fc.delta, fc.delta, cap) - one
-    psi = TruncSeries2.binomial_series(beta, gamma, cap) - one
+    phi = _shifted_binomial(-fc.delta, fc.delta, cap)
+    psi = _shifted_binomial(beta, gamma, cap)
     return SeriesContext(d, fc, eps, int(zeta), cls, beta, gamma, cap, phi, psi)
 
 
-def _series_powers(ctx: SeriesContext) -> tuple[TruncSeries2, list[TruncSeries2], list[TruncSeries2]]:
-    """(1+x)^m (1+y)^n and the powers 0..m+n of Phi and of Psi."""
-    cap = ctx.truncation
-    base = TruncSeries2.binomial_series(ctx.dims.m, ctx.dims.n, cap)
-    phi_pows = [TruncSeries2.constant(1, cap)]
-    psi_pows = [TruncSeries2.constant(1, cap)]
+@lru_cache(maxsize=None)
+def _fixed_powers(m: int, n: int, delta: int) -> tuple[TruncSeries2, ...]:
+    """(1+x)^m (1+y)^n Phi^j for j = 0..m+n: neither factor depends on the
+    class, eps or the evaluation point, only on (m, n, delta)."""
+    cap = m + n
+    phi = _shifted_binomial(-delta, delta, cap)
+    powers = [TruncSeries2.binomial_series(m, n, cap)]
     for _ in range(cap):
-        phi_pows.append(phi_pows[-1] * ctx.phi)
-        psi_pows.append(psi_pows[-1] * ctx.psi)
-    return base, phi_pows, psi_pows
+        powers.append(powers[-1] * phi)
+    return tuple(powers)
+
+
+def _psi_powers(ctx: SeriesContext) -> list[TruncSeries2]:
+    """The powers 0..m+n of the context's Psi."""
+    powers = [TruncSeries2.constant(1, ctx.truncation)]
+    for _ in range(ctx.truncation):
+        powers.append(powers[-1] * ctx.psi)
+    return powers
 
 
 def series_component_value(ctx: SeriesContext) -> Fraction:
@@ -106,15 +118,15 @@ def series_component_value(ctx: SeriesContext) -> Fraction:
     of :func:`csck.character.localized_component_poly` evaluated there."""
     d, fc = ctx.dims, ctx.fc
     m, n = d.m, d.n
-    base, phi_pows, psi_pows = _series_powers(ctx)
+    fixed = _fixed_powers(m, n, fc.delta)
+    psi_pows = _psi_powers(ctx)
     c0 = ctx.zeta * fc.kappa - ctx.eps * fc.r
     total = Fraction(0)
     for s in range(m + n + 1):
         coeff = binomial(m + n + 2, s) * fc.delta ** (m + n - s + 1) * c0 ** (m + n + 2 - s)
         if coeff == 0:
             continue
-        series = base * phi_pows[m + n - s] * psi_pows[s]
-        total += coeff * series.coefficient((m, n))
+        total += coeff * fixed[m + n - s].product_coefficient(psi_pows[s], (m, n))
     return total
 
 
@@ -256,16 +268,57 @@ class CycloElement:
         return f"CycloElement(p={self.p}, {list(self.nums)!r} / {self.den})"
 
 
-def _lambda_at_root(p: int, k: int, d: Dims, s: int, c0: int, delta: int, j: int) -> CycloElement:
-    # Lambda_j at alpha_p^k: all powers of the root are cyclic, so negative
-    # exponents need no special casing.
-    num = CycloElement.root_power(p, k * (s * c0 + delta)) * (
-        (CycloElement.root_power(p, k * c0) - CycloElement.rational(p, 1)) ** (d.m + d.n + 2 - s)
-    )
-    den = (CycloElement.root_power(p, k) - CycloElement.rational(p, 1)) * (
-        (CycloElement.root_power(p, k * delta) - CycloElement.rational(p, 1)) ** (j + 1)
-    )
-    return num * den.inverse()
+def _check_lambda_indices(d: Dims, s: int, j: int, delta: int) -> None:
+    if not 0 <= s <= d.m + d.n:
+        raise ValueError(f"s must satisfy 0 <= s <= m + n, got s={s}")
+    if not 0 <= j <= d.m + d.n - s:
+        raise ValueError(f"j must satisfy 0 <= j <= m + n - s, got j={j}, s={s}")
+    if delta not in (-1, 1):
+        raise ValueError(f"delta must be +-1, got {delta}")
+
+
+def _lambda_row(p: int, k: int, d: Dims, c0: int, delta: int) -> list[list[CycloElement]]:
+    """Lambda_j at alpha_p^k for every s = 0..m+n (outer) and j = 0..m+n-s
+    (inner): alpha^(k(s c0 + delta)) (alpha^(k c0) - 1)^(m+n+2-s) over
+    (alpha^k - 1) (alpha^(k delta) - 1)^(j+1).
+
+    The powers of alpha^(k c0) - 1 are formed once, and the inverses of all
+    m + n + 1 denominators come from two inversions, so each numerator costs
+    one product and each (s, j) one more.  All powers of the root are cyclic,
+    so negative exponents need no special casing."""
+    one = CycloElement.rational(p, 1)
+    top = d.m + d.n
+    base = CycloElement.root_power(p, k * c0) - one
+    base_pows = [one]
+    for _ in range(top + 2):
+        base_pows.append(base_pows[-1] * base)
+    step = (CycloElement.root_power(p, k * delta) - one).inverse()
+    den_invs = [(CycloElement.root_power(p, k) - one).inverse() * step]
+    for _ in range(top):
+        den_invs.append(den_invs[-1] * step)
+    row = []
+    for s in range(top + 1):
+        num = CycloElement.root_power(p, k * (s * c0 + delta)) * base_pows[top + 2 - s]
+        row.append([num * den_invs[j] for j in range(top - s + 1)])
+    return row
+
+
+@lru_cache(maxsize=None)
+def _root_sums(p: int, d: Dims, c0: int, delta: int) -> tuple[tuple[int, ...], ...]:
+    """-sum_{k=1}^{p-1} Lambda_j(alpha_p^k) at [s][j] for every s = 0..m+n and
+    j = 0..m+n-s, summed literally in Q(alpha_p); every sum must come out
+    rational and integral.  Only these integers outlive the call."""
+    totals = _lambda_row(p, 1, d, c0, delta)
+    for k in range(2, p):
+        totals = [[a + b for a, b in zip(acc, row)] for acc, row in zip(totals, _lambda_row(p, k, d, c0, delta))]
+    sums = []
+    for acc in totals:
+        values = tuple(t.rational_value() for t in acc)
+        for value in values:
+            if value.denominator != 1:
+                raise InvariantViolation(f"summed Lambda value is not an integer: {value}")
+        sums.append(tuple(-v.numerator for v in values))
+    return tuple(sums)
 
 
 def lambda_at_one(d: Dims, s: int, j: int, c0: int, delta: int) -> Fraction:
@@ -274,13 +327,10 @@ def lambda_at_one(d: Dims, s: int, j: int, c0: int, delta: int) -> Fraction:
     Returns 0 for j < m + n - s and delta^(m+n-s+1) c0^(m+n+2-s) at
     j = m + n - s; a genuine pole (denominator vanishing to higher order than
     the numerator) is an invariant violation, impossible within the
-    precondition j <= m + n - s.
+    precondition 0 <= j <= m + n - s, 0 <= s <= m + n.
     """
     m, n = d.m, d.n
-    if not 0 <= j <= m + n - s:
-        raise ValueError(f"j must satisfy 0 <= j <= m + n - s, got j={j}, s={s}")
-    if delta not in (-1, 1):
-        raise ValueError(f"delta must be +-1, got {delta}")
+    _check_lambda_indices(d, s, j, delta)
     den_order = j + 2
     cap = den_order
 
@@ -323,23 +373,13 @@ def lambda_at_one(d: Dims, s: int, j: int, c0: int, delta: int) -> Fraction:
     return Fraction(num[den_order], den[den_order])
 
 
-@lru_cache(maxsize=None)
-def _root_sum(p: int, d: Dims, s: int, j: int, c0: int, delta: int) -> int:
-    """-sum_{k=1}^{p-1} Lambda_j(alpha_p^k), summed literally in Q(alpha_p);
-    the sum must come out rational and integral."""
-    total = CycloElement.rational(p, 0)
-    for k in range(1, p):
-        total = total + _lambda_at_root(p, k, d, s, c0, delta, j)
-    value = total.rational_value()
-    if value.denominator != 1:
-        raise InvariantViolation(f"summed Lambda value is not an integer: {value}")
-    return -int(value)
-
-
 def lambda_sum_check(p: int, d: Dims, s: int, j: int, c0: int, delta: int) -> CheckResult:
     """Check that -sum_k Lambda_j(alpha_p^k) is an integer congruent mod p to
-    the limit value Lambda_j(1)."""
-    value = _root_sum(p, d, s, j, c0, delta)
+    the limit value Lambda_j(1).  The indices are checked before any field
+    element is built."""
+    _require_odd_prime(p)
+    _check_lambda_indices(d, s, j, delta)
+    value = _root_sums(p, d, c0, delta)[s][j]
     reference = lambda_at_one(d, s, j, c0, delta)
     passed = (value - int(reference)) % p == 0
     return CheckResult(
@@ -363,14 +403,15 @@ def t_sum_congruence_check(
     _require_odd_prime(p)
     m, n = d.m, d.n
     c0 = zeta * fc.kappa - eps * fc.r
-    base, phi_pows, psi_pows = _series_powers(build_series_context(d, fc, eps, zeta, cls))
+    fixed = _fixed_powers(m, n, fc.delta)
+    psi_pows = _psi_powers(build_series_context(d, fc, eps, zeta, cls))
+    sums = _root_sums(p, d, c0, fc.delta)
     total = Fraction(0)
     for s in range(m + n + 1):
-        psi_part = base * psi_pows[s]
         for j in range(m + n - s + 1):
-            extracted = (psi_part * phi_pows[j]).coefficient((m, n))
+            extracted = fixed[j].product_coefficient(psi_pows[s], (m, n))
             if extracted:
-                total += binomial(m + n + 2, s) * _root_sum(p, d, s, j, c0, fc.delta) * extracted
+                total += binomial(m + n + 2, s) * sums[s][j] * extracted
     if total.denominator != 1:
         raise InvariantViolation(f"root-of-unity T-sum is not an integer: {total}")
     reference = localized_component_poly(d, fc, eps, cls).evaluate(zeta)

@@ -514,13 +514,29 @@ class TruncSeries2:
     def terms(self) -> list[tuple[tuple[int, int], Fraction]]:
         return sorted(((e, Fraction(c)) for e, c in self._terms.items()), key=lambda t: _term_key(t[0]), reverse=True)
 
-    def coefficient(self, exponent: Sequence[int]) -> Fraction:
+    def _retained(self, exponent: Sequence[int]) -> tuple[int, int]:
         e = (int(exponent[0]), int(exponent[1]))
         if e[0] + e[1] > self.truncation:
             raise ValueError(
                 f"coefficient {e} lies beyond truncation degree {self.truncation}"
             )
-        return Fraction(self._terms.get(e, 0))
+        return e
+
+    def coefficient(self, exponent: Sequence[int]) -> Fraction:
+        return Fraction(self._terms.get(self._retained(exponent), 0))
+
+    def product_coefficient(self, other: "TruncSeries2", exponent: Sequence[int]) -> Fraction:
+        """The coefficient of ``self * other`` at ``exponent``, without
+        forming the product: one lookup in ``other`` per term of ``self``."""
+        self._check(other)
+        e0, e1 = self._retained(exponent)
+        theirs = other._terms
+        total = 0
+        for (a0, a1), ca in self._terms.items():
+            cb = theirs.get((e0 - a0, e1 - a1))
+            if cb is not None:
+                total += ca * cb
+        return Fraction(total)
 
     def _check(self, other: "TruncSeries2") -> None:
         if self.truncation != other.truncation:

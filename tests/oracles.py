@@ -12,12 +12,16 @@ path against it term for term:
 * :func:`reference_in_kahler_triangle` scales a class onto the face and
   reads its barycentric coordinates in ``Fraction``;
 * :func:`reference_sample_face` evaluates F and classifies the region at
-  every lattice point on its own.
+  every lattice point on its own;
+* :func:`reference_root_sum` evaluates Lambda_j in full at every root of
+  unity, one inversion per (s, j, k), by :func:`reference_lambda_at_root`;
+* :func:`reference_component_coeffs` recomputes every binomial weight of a
+  localized component on each call.
 """
 from fractions import Fraction
 from math import lcm
 
-from csck.character import Dims, KahlerClass, _double_sum_coeff
+from csck.character import Dims, FixedComponent, KahlerClass, _double_sum_coeff
 from csck.cone import (
     REGION_BOUNDARY,
     REGION_INSIDE,
@@ -28,7 +32,8 @@ from csck.cone import (
     sign_at,
 )
 from csck.exact import binomial
-from csck.polynomials import MultiPoly3, UniPoly, int_power_table
+from csck.localization import CycloElement
+from csck.polynomials import MultiPoly3, UniPoly, int_convolve_into, int_power_table
 
 
 def int_convolve(a: list[int], b: list[int]) -> list[int]:
@@ -138,3 +143,40 @@ def reference_sample_face(d: Dims, resolution: int) -> list[FaceSample]:
             cls = point.as_class()
             samples.append(FaceSample(point, sign_at(d, cls), reference_in_kahler_triangle(d, cls)))
     return samples
+
+
+def reference_lambda_at_root(p: int, k: int, d: Dims, s: int, c0: int, delta: int, j: int) -> CycloElement:
+    """Lambda_j at alpha_p^k, numerator and denominator built and the
+    denominator inverted for this (s, j, k) alone."""
+    one = CycloElement.rational(p, 1)
+    num = CycloElement.root_power(p, k * (s * c0 + delta)) * (
+        (CycloElement.root_power(p, k * c0) - one) ** (d.m + d.n + 2 - s)
+    )
+    den = (CycloElement.root_power(p, k) - one) * ((CycloElement.root_power(p, k * delta) - one) ** (j + 1))
+    return num * den.inverse()
+
+
+def reference_root_sum(p: int, d: Dims, s: int, j: int, c0: int, delta: int) -> Fraction:
+    """-sum_{k=1}^{p-1} Lambda_j(alpha_p^k), one full evaluation per root."""
+    total = CycloElement.rational(p, 0)
+    for k in range(1, p):
+        total = total + reference_lambda_at_root(p, k, d, s, c0, delta, j)
+    return -total.rational_value()
+
+
+def reference_component_coeffs(d: Dims, fc: FixedComponent, eps: int) -> list[int]:
+    """The integer coefficients of one localized component, every binomial
+    weight computed where it is used."""
+    m, n = d.m, d.n
+    top = m + n + 2
+    pow_k = int_power_table(-fc.r * eps, fc.kappa, top)
+    pow_r = int_power_table(-fc.a * eps, fc.rho, m)
+    pow_t = int_power_table(-fc.b * eps, fc.tau, n)
+    acc = [0] * (top + 1)
+    for s in range(m + n + 1):
+        inner = [0] * (s + 1)
+        for q in range(max(0, m - s), min(m, m + n - s) + 1):
+            c = binomial(s, m - q) * binomial(m + n - s, q) * (-1) ** q
+            int_convolve_into(inner, c, pow_r[m - q], pow_t[s - m + q])
+        int_convolve_into(acc, binomial(m + n + 2, s) * fc.delta, inner, pow_k[top - s])
+    return acc

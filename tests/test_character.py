@@ -10,6 +10,7 @@ import pytest
 from csck.character import (
     Dims,
     KahlerClass,
+    _component_coeffs,
     alternating_power_sum,
     anticanonical_class,
     assemble_from_localization,
@@ -24,7 +25,7 @@ from csck.character import (
 )
 from csck.exact import binomial, factorial
 from csck.polynomials import MultiPoly3, UniPoly, int_power_table
-from oracles import int_convolve, reference_F, reference_g, reference_h
+from oracles import int_convolve, reference_component_coeffs, reference_F, reference_g, reference_h
 from test_polynomials import F_1_2
 
 # Independently derived coefficient tables (direct per-(s,q) summation with a
@@ -277,6 +278,17 @@ class TestLocalizedSums:
                 cls = KahlerClass(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9))
                 for eps in (-1, 0, 1):
                     assert localized_sum_poly(d, eps, cls) == localized_sum_poly_direct(d, eps, cls)
+
+    def test_component_matches_per_call_binomials(self):
+        # the shared per-Dims weight table against weights made on every call
+        for m in range(1, 9):
+            for n in range(1, 9):
+                d = Dims(m, n)
+                for cls in (KahlerClass(3, 4, 2), KahlerClass(2, -1, 1)):
+                    for fc in fixed_components(d, cls):
+                        for eps in (-1, 0, 1):
+                            expected = reference_component_coeffs(d, fc, eps)
+                            assert _component_coeffs(d, fc, eps) == expected, (m, n, fc.index, eps)
 
     def test_mismatched_component_rejected(self):
         d = Dims(1, 2)

@@ -8,6 +8,7 @@ on fixed results, so its layouts are pinned without running the battery; the
 deep battery's JSON report is pinned once more on a real run.
 """
 import hashlib
+import json
 import os
 import re
 import subprocess
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from csck import verification
-from csck.cli import main
+from csck.cli import _JSON_BATCH, _json_lines, main
 
 LOCATE_INSIDE = ("--from", "7/16,7/16,1/8", "--to", "1/3,4/9,2/9")
 LOCATE_EDGE = ("--from", "1,0,0", "--to", "0,1,0")
@@ -169,9 +170,12 @@ def test_far_pair_bytes_are_pinned_within_a_minute():
 
 
 # the largest face the resolution cap allows: its rows are written as they
-# are made, so the peak RSS stays near that of a small face
+# are made, in CSV and in JSON alike, so the peak RSS stays near that of a
+# small face
 FAR_FACE_ARGV = ("sample-face", "-m", "9", "-n", "10", "--resolution", "500", "--format", "csv", "--no-meta")
 FAR_FACE_SHA256 = "251d7212ae210581c34cc6e91b0ecf9f08f389f27197eb7bb44ab78242947a9c"
+FAR_FACE_JSON_ARGV = ("sample-face", "-m", "9", "-n", "10", "--resolution", "500", "--format", "json", "--no-meta")
+FAR_FACE_JSON_SHA256 = "1e07fbd4c417546e506e09ce04e08246e2f9190348ec47c1629c29a5e39b9f6a"
 FAR_FACE_MAX_RSS_MB = 64
 
 
@@ -187,16 +191,56 @@ print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
-def test_far_face_bytes_are_pinned_within_a_minute_and_bounded_memory(tmp_path):
+def _run_with_peak_rss(tmp_path, argv) -> tuple[str, float]:
+    """``python -m csck argv`` in a fresh interpreter under a minute: the
+    SHA-256 of its stdout and its peak RSS in MB."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-    target = tmp_path / "face.csv"
-    runner = [sys.executable, "-c", _PEAK_RSS_RUNNER, str(target), sys.executable, "-m", "csck", *FAR_FACE_ARGV]
+    target = tmp_path / "stdout"
+    runner = [sys.executable, "-c", _PEAK_RSS_RUNNER, str(target), sys.executable, "-m", "csck", *argv]
     proc = subprocess.run(runner, env=env, capture_output=True, text=True, timeout=90)
     assert proc.returncode == 0, proc.stderr
     code, peak_kib = map(int, proc.stdout.split())
     assert code == 0
-    assert hashlib.sha256(target.read_bytes()).hexdigest() == FAR_FACE_SHA256
-    assert peak_kib / 1024 < FAR_FACE_MAX_RSS_MB
+    return hashlib.sha256(target.read_bytes()).hexdigest(), peak_kib / 1024
+
+
+def test_far_face_bytes_are_pinned_within_a_minute_and_bounded_memory(tmp_path):
+    digest, peak_mb = _run_with_peak_rss(tmp_path, FAR_FACE_ARGV)
+    assert digest == FAR_FACE_SHA256
+    assert peak_mb < FAR_FACE_MAX_RSS_MB
+
+
+def test_far_face_json_bytes_are_pinned_within_a_minute_and_bounded_memory(tmp_path):
+    digest, peak_mb = _run_with_peak_rss(tmp_path, FAR_FACE_JSON_ARGV)
+    assert digest == FAR_FACE_JSON_SHA256
+    assert peak_mb < FAR_FACE_MAX_RSS_MB
+
+
+def _items(count):
+    return ({"x": f"{i}/7", "point_approx": [i / 7, 0.5], "none": None} for i in range(count))
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, _JSON_BATCH, _JSON_BATCH + 1, 2 * _JSON_BATCH + 3])
+@pytest.mark.parametrize("place", ["first", "last"])
+def test_streamed_json_equals_json_dumps(count, place):
+    # the iterator value is written a batch at a time; the text must be that
+    # of one json.dumps of the collected object, an empty list included
+    fixed = {"meta": {"params": {"m": 1}, "tags": [], "empty": {}}, "n": 3}
+    if place == "first":
+        streamed, collected = {"samples": _items(count), **fixed}, {"samples": list(_items(count)), **fixed}
+    else:
+        streamed, collected = {**fixed, "samples": _items(count)}, {**fixed, "samples": list(_items(count))}
+    assert "\n".join(_json_lines(streamed)) == json.dumps(collected, indent=2)
+
+
+def test_face_json_with_meta_and_approx_is_one_json_dumps(capsys):
+    argv = ["sample-face", "-m", "9", "-n", "10", "--resolution", "60", "--format", "json", "--approx"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    obj = json.loads(out)
+    assert list(obj) == ["meta", "samples"]
+    assert len(obj["samples"]) == 1711 and "point_approx" in obj["samples"][0]
+    assert out == json.dumps(obj, indent=2) + "\n"
 
 
 FACE_CSV_ARGV = ["sample-face", "-m", "9", "-n", "10", "--resolution", "60", "--format", "csv", "--no-meta"]

@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csck import localization
 from csck.character import Dims, InvariantViolation, KahlerClass, fixed_components, localized_component_poly
 from csck.exact import general_binomial
 from csck.localization import (
@@ -19,6 +20,7 @@ from csck.localization import (
     series_component_value,
     t_sum_congruence_check,
 )
+from oracles import reference_root_sum
 
 
 class TestSeriesContext:
@@ -174,16 +176,26 @@ class TestLambdaLimit:
         with pytest.raises(ValueError):
             lambda_at_one(Dims(1, 1), 0, 3, 1, 1)
 
+    @pytest.mark.parametrize("s", [-1, 3])
+    def test_out_of_range_s_rejected(self, s):
+        with pytest.raises(ValueError, match="0 <= s <= m \\+ n"):
+            lambda_at_one(Dims(1, 1), s, 0, 1, 1)
 
-# Lambda_j forced to 1/2 at the first root and 0 at the others: the root sum
-# 1/2 is not an integer, so both checks must raise instead of returning a
-# verdict.  (1/2 at every root would sum to the integer (p-1)/2.)
+
+# Lambda_j forced to 1/2 at the first root and 0 at the others, for every
+# (s, j): the root sum 1/2 is not an integer, so both checks must raise
+# instead of returning a verdict.  (1/2 at every root would sum to the integer
+# (p-1)/2.)
 _NON_INTEGRAL_ROOT_SUM = """
 from fractions import Fraction
 from csck import localization as L
 from csck.character import Dims, InvariantViolation, KahlerClass, fixed_components
 
-L._lambda_at_root = lambda p, k, *_: L.CycloElement.rational(p, Fraction(1, 2) if k == 1 else 0)
+def _row(p, k, d, c0, delta):
+    value = L.CycloElement.rational(p, Fraction(1, 2) if k == 1 else 0)
+    return [[value] * (d.m + d.n - s + 1) for s in range(d.m + d.n + 1)]
+
+L._lambda_row = _row
 d, cls = Dims(1, 1), KahlerClass(1, 1, 1)
 checks = {
     "lambda_sum_check": lambda: L.lambda_sum_check(3, d, 2, 0, 1, 1),
@@ -209,6 +221,42 @@ class TestCongruences:
         verdict = lambda_sum_check(5, Dims(1, 2), 1, 2, 2, -1)
         assert verdict.passed
         assert verdict.detail == "-4"
+
+    @pytest.mark.parametrize(
+        "s, j, delta, message",
+        [
+            (-1, 0, 1, "0 <= s <= m \\+ n"),
+            (3, 0, 1, "0 <= s <= m \\+ n"),
+            (1, 2, 1, "0 <= j <= m \\+ n - s"),
+            (0, -1, 1, "0 <= j <= m \\+ n - s"),
+            (0, 0, 2, "delta must be"),
+            (0, 0, 0, "delta must be"),
+        ],
+    )
+    def test_bad_indices_rejected_before_any_field_element(self, monkeypatch, s, j, delta, message):
+        # the refusal must come before the root sum: no cyclotomic element is built
+        def refuse(*_):
+            raise AssertionError("a cyclotomic element was built")
+
+        monkeypatch.setattr(CycloElement, "__init__", refuse)
+        monkeypatch.setattr(CycloElement, "_make", classmethod(refuse))
+        with pytest.raises(ValueError, match=message):
+            lambda_sum_check(3, Dims(1, 1), s, j, 1, delta)
+
+    def test_root_sums_match_one_evaluation_per_root(self):
+        # every (s, j) entry of the shared table against Lambda_j evaluated in
+        # full, with its own inverse, at each root
+        for p in (3, 5, 7):
+            for m, n in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)):
+                d = Dims(m, n)
+                for c0 in range(-3, 4):
+                    for delta in (-1, 1):
+                        table = localization._root_sums(p, d, c0, delta)
+                        assert len(table) == m + n + 1
+                        for s in range(m + n + 1):
+                            assert len(table[s]) == m + n - s + 1
+                            for j in range(m + n - s + 1):
+                                assert table[s][j] == reference_root_sum(p, d, s, j, c0, delta), (p, d, s, j, c0)
 
     def test_composite_p_rejected(self):
         with pytest.raises(ValueError):

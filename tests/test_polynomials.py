@@ -775,6 +775,24 @@ class TestTruncSeriesAgainstFractions:
         self._assert_matches(sa * factor, {e: c * Fraction(factor) for e, c in kept.items()})
         assert all(type(c) is Fraction for _, c in (sa * sb).terms())
 
+    @_DIFFERENTIAL
+    @given(_SERIES_TERMS, _SERIES_TERMS)
+    def test_product_coefficient_matches_product(self, a, b):
+        sa, sb = TruncSeries2(_SERIES_CAP, a), TruncSeries2(_SERIES_CAP, b)
+        product = sa * sb
+        for i in range(_SERIES_CAP + 1):
+            for j in range(_SERIES_CAP + 1 - i):
+                value = sa.product_coefficient(sb, (i, j))
+                assert type(value) is Fraction
+                assert value == product.coefficient((i, j)), (i, j)
+
+    def test_product_coefficient_rejects_what_coefficient_rejects(self):
+        s = TruncSeries2(2, {(1, 0): 1})
+        with pytest.raises(ValueError, match="beyond truncation"):
+            s.product_coefficient(s, (2, 1))
+        with pytest.raises(ValueError, match="mismatched truncation"):
+            s.product_coefficient(TruncSeries2(3, {(0, 1): 1}), (1, 0))
+
     def test_non_integral_series(self):
         half = TruncSeries2(2, {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 3), (0, 1): 2})
         square = half * half
