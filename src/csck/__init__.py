@@ -36,16 +36,6 @@ from .cone import (
     vertex_c,
 )
 from .exact import binomial, factorial, parse_rational
-from .localization import (
-    CheckResult,
-    CycloElement,
-    SeriesContext,
-    build_series_context,
-    lambda_at_one,
-    lambda_sum_check,
-    series_component_value,
-    t_sum_congruence_check,
-)
 from .polynomials import (
     IsolationResult,
     MultiPoly3,
@@ -56,6 +46,35 @@ from .polynomials import (
 )
 
 __version__ = "0.1.0"
+
+# Only ``verify`` uses these; importing csck.localization on first access
+# keeps its load and compile off every other command.
+_LOCALIZATION_NAMES = frozenset(
+    {
+        "CheckResult",
+        "CycloElement",
+        "SeriesContext",
+        "build_series_context",
+        "lambda_at_one",
+        "lambda_sum_check",
+        "series_component_value",
+        "t_sum_congruence_check",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name not in _LOCALIZATION_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import localization
+
+    value = getattr(localization, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _LOCALIZATION_NAMES)
 
 __all__ = [
     "CharacterPolys",

@@ -21,27 +21,34 @@ is the package's central self-check.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .exact import InvariantViolation, binomial
 from .polynomials import Exponent3, MultiPoly3, UniPoly, _homogeneous_value, int_convolve_into, int_power_table
 
 
-@dataclass(frozen=True)
-class Dims:
+def _make_checked(cls, iterable):
+    """A namedtuple's ``_make``, and so its ``_replace``, through the
+    validating ``__new__`` instead of around it."""
+    return cls(*iterable)
+
+
+class Dims(namedtuple("Dims", ("m", "n"))):
     """Complex dimensions (m, n) of the two projective-space factors."""
 
-    m: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for v in (self.m, self.n):
+    def __new__(cls, m, n):
+        for v in (m, n):
             if isinstance(v, bool) or not isinstance(v, int):
-                raise ValueError(f"dimensions must be integers, got ({self.m!r}, {self.n!r})")
-        if self.m < 1 or self.n < 1:
-            raise ValueError(f"dimensions must be positive, got ({self.m}, {self.n})")
+                raise ValueError(f"dimensions must be integers, got ({m!r}, {n!r})")
+        if m < 1 or n < 1:
+            raise ValueError(f"dimensions must be positive, got ({m}, {n})")
+        return super().__new__(cls, m, n)
+
+    _make = classmethod(_make_checked)
 
     @property
     def fiber_sum(self) -> int:
@@ -57,6 +64,8 @@ class KahlerClass(namedtuple("KahlerClass", ("x", "y", "z"))):
     def __new__(cls, x, y, z):
         return super().__new__(cls, Fraction(x), Fraction(y), Fraction(z))
 
+    _make = classmethod(_make_checked)
+
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self)
 
@@ -68,8 +77,7 @@ class KahlerClass(namedtuple("KahlerClass", ("x", "y", "z"))):
         return f"({self.x}, {self.y}, {self.z})"
 
 
-@dataclass(frozen=True)
-class FixedComponent:
+class FixedComponent(NamedTuple):
     """Localization constants of one fixed component, evaluated at an
     integral class (lam, mu, nu).
 
@@ -90,8 +98,7 @@ class FixedComponent:
     cls: KahlerClass
 
 
-@dataclass(frozen=True)
-class CharacterPolys:
+class CharacterPolys(NamedTuple):
     """g, h and the obstruction polynomial F for one choice of dimensions."""
 
     dims: Dims

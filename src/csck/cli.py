@@ -7,20 +7,22 @@ strings ("p/q" or decimal integers); ``--approx`` adds float fields *beside*
 the exact ones, never instead.
 
 Exit codes: 0 success, 2 invalid input or usage, 3 internal invariant
-violation (a proven identity failed, i.e. a bug), 4 verification failure.
+violation (a proven identity failed, i.e. a bug), 4 verification failure,
+141 (128 + SIGPIPE) stdout closed by its reader before the report ended; the
+run then stops quietly, with nothing on stderr.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from . import __version__, cone, verification
+from . import __version__, cone
 from .character import Dims, InvariantViolation, KahlerClass, compute_obstruction, slope
 from .cone import DEFAULT_WIDTH, SIGN_NAMES
 from .exact import parse_rational, sign
@@ -29,6 +31,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INVARIANT = 3
 EXIT_VERIFY = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def _parse_class(text: str) -> KahlerClass:
@@ -122,6 +125,9 @@ def _emit(args: argparse.Namespace, params: dict, body: dict | Iterable[str]) ->
     they are yielded, so a long report is never held whole.
     """
     if not args.no_meta:
+        # imported here: only the meta header needs a clock, and datetime costs every start-up
+        from datetime import datetime, timezone
+
         meta = {
             "tool": "csck",
             "version": __version__,
@@ -326,6 +332,9 @@ def _cmd_locate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # imported here: the battery and the localization routes it loads serve no other command
+    from . import verification
+
     results = verification.run_checks(deep=args.deep)
     failed = [r for r in results if not r.passed]
     if args.format == "json":
@@ -369,7 +378,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        # a reader that closed the pipe early is met here, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so the final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -17,11 +17,11 @@ interval by a sign change of the square-free restriction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .character import Dims, InvariantViolation, KahlerClass, anticanonical_class, compute_obstruction
+from .character import Dims, InvariantViolation, KahlerClass, _make_checked, anticanonical_class, compute_obstruction
 from .exact import binomial, sign
 from .polynomials import MultiPoly3, RootInterval, UniPoly, _homogeneous_value, _int_coeffs, sturm_isolate
 
@@ -54,20 +54,18 @@ _EDGE_MIDPOINT = KahlerClass(Fraction(1, 2), Fraction(1, 2), 0)
 _APEX = KahlerClass(0, 0, 1)
 
 
-@dataclass(frozen=True)
-class FacePoint:
+class FacePoint(namedtuple("FacePoint", ("x", "y", "z"))):
     """A point of the plane x + y + z = 1 (boundary admitted)."""
 
-    x: Fraction
-    y: Fraction
-    z: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
-        object.__setattr__(self, "z", Fraction(self.z))
-        if self.x + self.y + self.z != 1:
-            raise ValueError(f"face point coordinates must sum to 1: ({self.x}, {self.y}, {self.z})")
+    def __new__(cls, x, y, z):
+        x, y, z = Fraction(x), Fraction(y), Fraction(z)
+        if x + y + z != 1:
+            raise ValueError(f"face point coordinates must sum to 1: ({x}, {y}, {z})")
+        return super().__new__(cls, x, y, z)
+
+    _make = classmethod(_make_checked)
 
     def as_class(self) -> KahlerClass:
         return KahlerClass(self.x, self.y, self.z)
@@ -156,8 +154,7 @@ def sign_at(d: Dims, c: KahlerClass) -> int:
     return sign(compute_obstruction(d).F.evaluate(c))
 
 
-@dataclass(frozen=True)
-class KeVerdict:
+class KeVerdict(NamedTuple):
     """Value of F on the anticanonical class; zero would be the necessary
     condition for a Kahler-Einstein metric."""
 
@@ -173,8 +170,7 @@ def ke_check(d: Dims) -> KeVerdict:
     return KeVerdict(dims=d, f_at_c1=compute_obstruction(d).F.evaluate(anticanonical_class(d)))
 
 
-@dataclass(frozen=True)
-class IsolatedRoot:
+class IsolatedRoot(NamedTuple):
     interval: RootInterval
     midpoint_class: KahlerClass
     inside_certified: bool
@@ -188,8 +184,7 @@ class IsolatedRoot:
         }
 
 
-@dataclass(frozen=True)
-class SegmentReport:
+class SegmentReport(NamedTuple):
     """Roots of the obstruction along a parametrized segment."""
 
     dims: Dims
@@ -269,8 +264,7 @@ def isolate_on_segment(
     return report
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     """Verdicts for one dimension pair."""
 
     m: int
@@ -403,8 +397,7 @@ def scan_range(
     return rows
 
 
-@dataclass(frozen=True)
-class FaceSample:
+class FaceSample(NamedTuple):
     point: FacePoint
     sign: int
     region: str

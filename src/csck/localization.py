@@ -18,11 +18,11 @@ the closed forms rely on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .character import (
     Dims,
@@ -37,15 +37,14 @@ from .exact import binomial, general_binomial
 from .polynomials import TruncSeries2
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", ("name", "passed", "detail", "elapsed", "params"))):
     """Outcome of one verification check, serializable as a report row."""
 
-    name: str
-    passed: bool
-    detail: str
-    elapsed: float = 0.0
-    params: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, name: str, passed: bool, detail: str, elapsed: float = 0.0, params: dict | None = None):
+        # a fresh dict per result: a default would be one dict shared by all
+        return super().__new__(cls, name, passed, detail, elapsed, {} if params is None else params)
 
     def to_json(self) -> dict:
         return {"check": self.name, "params": self.params, "pass": self.passed, "witness": self.detail}
@@ -54,8 +53,7 @@ class CheckResult:
 # -- series route -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeriesContext:
+class SeriesContext(NamedTuple):
     """Truncated-series data for one fixed component at one evaluation point.
 
     Phi = (1+x)^(-delta) (1+y)^delta - 1 and Psi = (1+x)^beta (1+y)^gamma - 1

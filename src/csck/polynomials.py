@@ -23,12 +23,11 @@ byte-deterministic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from math import gcd, isqrt, lcm
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .exact import InvariantViolation, general_binomial
 
@@ -618,8 +617,7 @@ class TruncSeries2:
 # -- root isolation ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootInterval:
+class RootInterval(NamedTuple):
     """Open interval (lo, hi) containing exactly one root of the square-free
     part of the isolated polynomial; the part changes sign across it."""
 
@@ -633,8 +631,7 @@ class RootInterval:
         return {"lo": str(self.lo), "hi": str(self.hi)}
 
 
-@dataclass(frozen=True)
-class IsolationResult:
+class IsolationResult(NamedTuple):
     """Either "identically zero", or the complete list of isolating intervals
     for the distinct real roots in the scanned range (lo, hi]."""
 

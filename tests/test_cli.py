@@ -260,7 +260,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     from csck.verification import CheckResult
 
     fake = CheckResult("synthetic", False, "forced failure", 0.0)
-    monkeypatch.setattr("csck.cli.verification.run_checks", lambda deep=False: [fake])
+    monkeypatch.setattr("csck.verification.run_checks", lambda deep=False: [fake])
     code, out, _ = run(capsys, "verify", "--format", "text", "--no-meta")
     assert code == 4
     assert "FAIL synthetic" in out
@@ -277,6 +277,21 @@ def test_invariant_violation_exit_code(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "invariant violation" in err
+
+
+def test_closed_stdout_ends_quietly():
+    # about 400 kB of CSV: the writer is still blocked on the pipe when its reader leaves
+    src = Path(__file__).resolve().parent.parent / "src"
+    cmd = [sys.executable, "-m", "csck", "sample-face", "-m", "9", "-n", "10", "--resolution", "200", "--no-meta"]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    with subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+    assert first == b"x,y,z,sign,region\n"
+    assert code == 141
+    assert err == b""
 
 
 def test_huge_scan_ranges_are_usage_error_at_once():

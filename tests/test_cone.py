@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -67,6 +69,28 @@ class TestFaceGeometry:
         point = KahlerClass(Fraction(1, 3), Fraction(1, 2), Fraction(1, 6))
         for s in (2, Fraction(1, 7), 30):
             assert in_kahler_triangle(d, point.scaled(s)) == in_kahler_triangle(d, point)
+
+
+# a valid instance of each validating value type, a field, and a value its constructor refuses there
+_VALIDATED = [
+    pytest.param(Dims(1, 2), "m", 0, id="Dims"),
+    pytest.param(KahlerClass(1, 2, 3), "x", "a", id="KahlerClass"),
+    pytest.param(FacePoint(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)), "x", Fraction(1, 2), id="FacePoint"),
+]
+
+
+@pytest.mark.parametrize("value, field, bad", _VALIDATED)
+def test_value_types_revalidate_on_replace_pickle_and_copy(value, field, bad):
+    assert value._replace(**{field: getattr(value, field)}) == value
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert type(copy.copy(value)) is type(value)
+    with pytest.raises(ValueError):
+        value._replace(**{field: bad})
+    # built around the constructor, as tuple.__new__ or namedtuple's stock _make would
+    forged = tuple.__new__(type(value), [bad if f == field else v for f, v in zip(value._fields, value)])
+    for rebuild in (lambda v: v._replace(), lambda v: pickle.loads(pickle.dumps(v)), copy.copy):
+        with pytest.raises(ValueError):
+            rebuild(forged)
 
 
 class TestLimits:
@@ -189,6 +213,17 @@ class TestScan:
         sequential = [r.to_json() for r in scan_range(1, 3, 2, 4)]
         parallel = [r.to_json() for r in scan_range(1, 3, 2, 4, jobs=2)]
         assert json.dumps(sequential) == json.dumps(parallel)
+
+    def test_verdicts_past_the_paper_range(self):
+        # every pair m < n with m + n <= 40, eight times the paper's 45
+        pairs = [(m, n) for n in range(2, 40) for m in range(1, min(n, 41 - n))]
+        assert len(pairs) == 380
+        for m, n in pairs:
+            row = scan_pair(m, n)
+            assert row.limit1 < 0, (m, n)
+            assert row.limit2 > 0, (m, n)
+            assert row.sign_change_found and row.witness_intervals, (m, n)
+            assert row.f_at_c1 != 0, (m, n)
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -363,11 +398,53 @@ class TestWidthFloor:
             assert root.interval.hi - root.interval.lo <= MIN_WIDTH
 
 
-def test_import_leaves_process_pool_unloaded():
-    # only a scan that fans out needs multiprocessing; importing it costs every command
+# Modules that a start-up must not load: only a scan that fans out needs
+# multiprocessing, only verify needs the localization routes and the battery,
+# only the meta header needs datetime, and dataclasses pulls in inspect.
+_DEFERRED = ("multiprocessing", "dataclasses", "datetime", "csck.localization", "csck.verification")
+
+_START_UPS = {
+    "import": [],
+    "scan": ["scan", "-m", "1..2", "-n", "2..3", "--no-meta"],
+    "sample-face": ["sample-face", "-m", "2", "-n", "3", "--resolution", "5", "--no-meta"],
+}
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys, csck; print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_import_leaves_process_pool_unloaded():
+    for start_up, argv in _START_UPS.items():
+        # a command runs as ``python -m csck``; the loaded modules go to stderr once it exits
+        run = "runpy.run_module('csck', run_name='__main__', alter_sys=True)" if argv else "import csck"
+        code = (
+            f"import json, runpy, sys\nsys.argv = ['csck', *{argv!r}]\n"
+            f"try:\n    {run}\nfinally:\n    print(json.dumps(sorted(sys.modules)), file=sys.stderr)"
+        )
+        proc = _run_python(code)
+        assert proc.returncode == 0, (start_up, proc.stderr)
+        loaded = json.loads(proc.stderr.splitlines()[-1])
+        assert "csck.cone" in loaded, start_up
+        assert [m for m in loaded if m in _DEFERRED or m.split(".")[0] in _DEFERRED] == [], start_up
+
+
+def test_lazy_package_names_resolve():
+    code = (
+        "import json, sys, csck\n"
+        "before = 'csck.localization' in sys.modules\n"
+        "from csck.localization import CycloElement\n"
+        "star = {}\n"
+        "exec('from csck import *', star)\n"
+        "print(json.dumps([before, csck.CycloElement is CycloElement,"
+        " sorted(set(csck.__all__) - set(star)), sorted(set(csck.__all__) - set(dir(csck)))]))"
+    )
+    proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert json.loads(proc.stdout) == [False, True, [], []]
+    import csck
+
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        csck.not_a_name

@@ -13,6 +13,7 @@ from csck import localization
 from csck.character import Dims, InvariantViolation, KahlerClass, fixed_components, localized_component_poly
 from csck.exact import general_binomial
 from csck.localization import (
+    CheckResult,
     CycloElement,
     build_series_context,
     lambda_at_one,
@@ -372,3 +373,10 @@ class TestLambdaLimitAgainstFractions:
         monkeypatch.setattr(localization, "general_binomial", lambda e, i: 2 if i == 0 else 1)
         with pytest.raises(InvariantViolation, match="pole"):
             lambda_at_one(Dims(1, 1), 0, 0, 3, 1)
+
+
+def test_check_result_params_default_is_not_shared():
+    first, second = CheckResult("a", True, "x"), CheckResult("b", False, "y", 1.5)
+    first.params["p"] = 3
+    assert second.params == {}
+    assert second.to_json() == {"check": "b", "params": {}, "pass": False, "witness": "y"}
