@@ -311,7 +311,7 @@ def localized_component_poly(d: Dims, fc: FixedComponent, eps: int, cls: KahlerC
     """
     _check_eps(eps)
     _check_component(d, fc, cls)
-    return UniPoly(_component_coeffs(d, fc, eps))
+    return UniPoly._make(_component_coeffs(d, fc, eps))
 
 
 @lru_cache(maxsize=None)
@@ -353,7 +353,7 @@ def localized_sum_poly(d: Dims, eps: int, cls: KahlerClass) -> UniPoly:
     """Both components' localized sum.  Its coefficient at degree m+n+2 is
     g(lam, mu, nu), at degree m+n+1 is -eps * h(lam, mu, nu), and for eps = 0
     the polynomial is the single monomial g(lam, mu, nu) t^(m+n+2)."""
-    return UniPoly(_sum_coeffs(d, eps, cls))
+    return UniPoly._make(_sum_coeffs(d, eps, cls))
 
 
 def _sum_coeffs(d: Dims, eps: int, cls: KahlerClass) -> list[int]:
@@ -390,7 +390,7 @@ def localized_sum_poly_direct(d: Dims, eps: int, cls: KahlerClass) -> UniPoly:
         c = binomial(m + n + 2, s)
         int_convolve_into(acc, c * (-1) ** (m + n + s + 1), inner1, pow1k[top - s])
         int_convolve_into(acc, c, inner2, pow2k[top - s])
-    return UniPoly(acc)
+    return UniPoly._make(acc)
 
 
 def assemble_from_localization(d: Dims, cls: KahlerClass) -> Fraction:

@@ -23,7 +23,7 @@ from typing import Iterator, NamedTuple
 
 from .character import Dims, InvariantViolation, KahlerClass, _make_checked, anticanonical_class, compute_obstruction
 from .exact import binomial, sign
-from .polynomials import MultiPoly3, RootInterval, UniPoly, _homogeneous_value, _int_coeffs, sturm_isolate
+from .polynomials import MultiPoly3, RootInterval, UniPoly, _homogeneous_value, sturm_isolate
 
 REGION_INSIDE = "inside"
 REGION_BOUNDARY = "boundary"
@@ -431,7 +431,7 @@ def _face_rows(d: Dims, f: MultiPoly3, r: int) -> Iterator[FaceSample]:
     # and taken at t = j by integer Horner.
     coords = [Fraction(v, r) for v in range(r)]
     for i in range(1, r - 1):
-        row = _int_coeffs(f.restrict_to_line((i, 0, r - i), (i, 1, r - i - 1)))
+        row = f.restrict_to_line((i, 0, r - i), (i, 1, r - i - 1)).nums
         for j in range(1, r - i):
             k = r - i - j
             point = FacePoint(coords[i], coords[j], coords[k])

@@ -1,13 +1,17 @@
 """Sparse exact polynomials, truncated bivariate series, and root isolation.
 
-Three value types cover every algebraic need of the package:
+The package builds its polynomials as term maps or integer coefficient
+lists, so the three value types carry no ring algebra, only the steps the
+program runs:
 
 * :class:`MultiPoly3` -- sparse polynomials in (x, y, z) over the rationals,
-  stored as a map from exponent triples to nonzero ``Fraction`` coefficients.
+  a map from exponent triples to nonzero coefficients (``int`` when
+  integral); evaluated and restricted to lines in integers over one
+  denominator.
 * :class:`UniPoly` -- dense univariate polynomials (line restrictions and the
-  localized sums live here).
+  localized sums), held as integer numerators over one positive denominator.
 * :class:`TruncSeries2` -- bivariate power series truncated at a total
-  degree, exact on every retained coefficient.
+  degree, exact on every retained coefficient; they multiply and subtract.
 
 Real roots of a ``UniPoly`` are isolated on its square-free part by dyadic
 bisection with Descartes' rule of signs.  The gcd behind the square-free part
@@ -75,12 +79,11 @@ def _int_if_integral(value: Fraction | int) -> Fraction | int:
 class MultiPoly3:
     """Sparse exact polynomial in the Kahler-coordinate variables (x, y, z).
 
-    The constructor stores integral coefficients as ``int``, so integral
-    polynomials add and multiply in integers; :meth:`terms` and
-    :meth:`coefficient` return ``Fraction``.
+    The constructor stores integral coefficients as ``int``; :meth:`terms`
+    and :meth:`coefficient` return ``Fraction``.
     """
 
-    # _int_form is filled on first evaluation; results built by _wrap leave it unset
+    # _int_form is filled on first evaluation or restriction
     __slots__ = ("_terms", "_int_form")
 
     def __init__(self, terms: Mapping[Exponent3, Fraction | int] | Iterable[tuple[Exponent3, Fraction | int]] = ()):
@@ -105,18 +108,6 @@ class MultiPoly3:
         out = cls.__new__(cls)
         out._terms = data
         return out
-
-    @classmethod
-    def zero(cls) -> "MultiPoly3":
-        return cls()
-
-    @classmethod
-    def constant(cls, value: Fraction | int) -> "MultiPoly3":
-        return cls({(0, 0, 0): value})
-
-    @classmethod
-    def monomial(cls, exponent: Exponent3, coeff: Fraction | int = 1) -> "MultiPoly3":
-        return cls({tuple(exponent): coeff})
 
     # -- inspection --------------------------------------------------------
 
@@ -147,54 +138,6 @@ class MultiPoly3:
 
     def has_integer_coefficients(self) -> bool:
         return all(c.denominator == 1 for c in self._terms.values())
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other: "MultiPoly3") -> "MultiPoly3":
-        data = dict(self._terms)
-        for e, c in other._terms.items():
-            s = data.get(e, 0) + c
-            if s:
-                data[e] = s
-            else:
-                data.pop(e, None)
-        return MultiPoly3._wrap(data)
-
-    def __neg__(self) -> "MultiPoly3":
-        return MultiPoly3._wrap({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: "MultiPoly3") -> "MultiPoly3":
-        return self + (-other)
-
-    def __mul__(self, other: "MultiPoly3 | Fraction | int") -> "MultiPoly3":
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        data: dict[Exponent3, Fraction | int] = {}
-        for (a0, a1, a2), ca in self._terms.items():
-            for (b0, b1, b2), cb in other._terms.items():
-                e = (a0 + b0, a1 + b1, a2 + b2)
-                s = data.get(e, 0) + ca * cb
-                if s:
-                    data[e] = s
-                else:
-                    data.pop(e, None)
-        return MultiPoly3._wrap(data)
-
-    __rmul__ = __mul__
-
-    def scaled(self, factor: Fraction | int) -> "MultiPoly3":
-        f = _int_if_integral(factor)
-        if not f:
-            return MultiPoly3.zero()
-        return MultiPoly3._wrap({e: c * f for e, c in self._terms.items()})
-
-    def __pow__(self, e: int) -> "MultiPoly3":
-        if e < 0:
-            raise ValueError("negative polynomial power")
-        result = MultiPoly3.constant(1)
-        for _ in range(e):
-            result = result * self
-        return result
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, MultiPoly3) and self._terms == other._terms
@@ -250,7 +193,7 @@ class MultiPoly3:
         Each (ez, ey) row is added from the power table of X alone, Horner in
         Y runs over ey within an ez block and Horner in Z over the blocks, so
         one row is live at a time.  The L padding means no homogeneity is
-        assumed.  One exact division per coefficient ends it.
+        assumed.  The result is those integers over den * L^D.
         """
         s = [Fraction(v) for v in start]
         e = [Fraction(v) for v in end]
@@ -283,7 +226,7 @@ class MultiPoly3:
             _add_scaled(outer, 1, inner)
             last_ez = ez
         outer = _times_line_power(outer, z0, z1, last_ez)
-        return UniPoly(Fraction(v, den * pads[top]) for v in outer)
+        return UniPoly._make(outer, den * pads[top])
 
     # -- serialization ------------------------------------------------------
 
@@ -295,11 +238,6 @@ class MultiPoly3:
 
     def __repr__(self) -> str:
         return f"MultiPoly3({dict(self.terms())!r})"
-
-
-X = MultiPoly3.monomial((1, 0, 0))
-Y = MultiPoly3.monomial((0, 1, 0))
-Z = MultiPoly3.monomial((0, 0, 1))
 
 
 def _powers(base: int, top: int) -> list[int]:
@@ -348,114 +286,88 @@ def _times_line_power(p: list[int], const: int, lin: int, times: int) -> list[in
 
 
 class UniPoly:
-    """Dense exact univariate polynomial; coefficient i multiplies t^i."""
+    """Dense exact univariate polynomial; coefficient i multiplies t^i.
 
-    __slots__ = ("_coeffs",)
+    It is held as integer numerators ``nums`` (trailing zeros trimmed) over
+    one positive denominator ``den`` in lowest terms, so equal polynomials
+    have equal fields; the zero polynomial is ``()`` over 1.  The
+    constructor takes ``Fraction | int`` coefficients, and
+    :meth:`coefficient` and :meth:`coefficients` return ``Fraction``.
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs = [c if type(c) is int else Fraction(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
-        self._coeffs = tuple(cs)
+        # over the lcm of lowest-terms denominators the numerators are in lowest terms
+        den = lcm(*(c.denominator for c in cs))
+        self.nums, self.den = tuple(c.numerator * (den // c.denominator) for c in cs), den
+
+    @classmethod
+    def _make(cls, nums: list[int], den: int = 1) -> "UniPoly":
+        """The polynomial nums / den for a positive den, brought to lowest
+        terms; trailing zeros are trimmed from ``nums`` in place."""
+        while nums and not nums[-1]:
+            nums.pop()
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = [v // g for v in nums], den // g
+        out = cls.__new__(cls)
+        out.nums, out.den = tuple(nums), den
+        return out
 
     @property
     def degree(self) -> int:
         """Degree, with the convention -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self.nums
 
     def order(self) -> int | None:
         """Smallest exponent with nonzero coefficient; None for zero."""
-        for i, c in enumerate(self._coeffs):
+        for i, c in enumerate(self.nums):
             if c:
                 return i
         return None
 
     def coefficient(self, k: int) -> Fraction:
-        if k < 0 or k >= len(self._coeffs):
+        if k < 0 or k >= len(self.nums):
             return Fraction(0)
-        return self._coeffs[k]
+        return Fraction(self.nums[k], self.den)
 
     def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
-
-    def leading_coefficient(self) -> Fraction:
-        return self._coeffs[-1] if self._coeffs else Fraction(0)
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
+        return tuple(Fraction(v, self.den) for v in self.nums)
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self._coeffs])
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "UniPoly | Fraction | int") -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
-            return UniPoly([c * other for c in self._coeffs])
-        if self.is_zero() or other.is_zero():
-            return UniPoly(())
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a:
-                for j, b in enumerate(other._coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "UniPoly":
-        if e < 0:
-            raise ValueError("negative polynomial power")
-        result = UniPoly((1,))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        out = UniPoly.__new__(UniPoly)
+        out.nums, out.den = tuple(-v for v in self.nums), self.den
+        return out
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, UniPoly) and self._coeffs == other._coeffs
+        return isinstance(other, UniPoly) and self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self.nums, self.den))
 
     def evaluate(self, point: Fraction | int) -> Fraction:
-        """p(a/b) as sum C_i a^i b^(D-i) / (den b^D), with den * p = sum C_i t^i
-        integral, by integer Horner over one denominator."""
-        if not self._coeffs:
+        """p(a/b) as sum nums_i a^i b^(D-i) / (den b^D), by integer Horner."""
+        if not self.nums:
             return Fraction(0)
         a, b = point.numerator, point.denominator
-        den = lcm(*(c.denominator for c in self._coeffs))
-        total = 0
-        pad = 1
-        for c in reversed(self._coeffs):
-            total = total * a + c.numerator * (den // c.denominator) * pad
-            pad *= b
-        return Fraction(total, den * b ** (len(self._coeffs) - 1))
+        return Fraction(_homogeneous_value(self.nums, a, b), self.den * b ** (len(self.nums) - 1))
 
     def derivative(self) -> "UniPoly":
-        return UniPoly([i * c for i, c in enumerate(self._coeffs)][1:])
+        return UniPoly._make([i * c for i, c in enumerate(self.nums)][1:], self.den)
 
     def __str__(self) -> str:
-        terms = [((i,), c) for i, c in reversed(list(enumerate(self._coeffs))) if c]
+        terms = [((i,), c) for i, c in reversed(list(enumerate(self.coefficients()))) if c]
         return _format_terms(terms, ("t",))
 
     def __repr__(self) -> str:
-        return f"UniPoly({list(self._coeffs)!r})"
+        return f"UniPoly({list(self.coefficients())!r})"
 
 
 class TruncSeries2:
@@ -543,11 +455,11 @@ class TruncSeries2:
                 f"mismatched truncation degrees {self.truncation} != {other.truncation}"
             )
 
-    def __add__(self, other: "TruncSeries2") -> "TruncSeries2":
+    def __sub__(self, other: "TruncSeries2") -> "TruncSeries2":
         self._check(other)
         data = dict(self._terms)
         for e, c in other._terms.items():
-            s = data.get(e, 0) + c
+            s = data.get(e, 0) - c
             if s:
                 data[e] = s
             else:
@@ -557,21 +469,7 @@ class TruncSeries2:
         out._terms = data
         return out
 
-    def __neg__(self) -> "TruncSeries2":
-        out = TruncSeries2.__new__(TruncSeries2)
-        out.truncation = self.truncation
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
-
-    def __sub__(self, other: "TruncSeries2") -> "TruncSeries2":
-        return self + (-other)
-
-    def __mul__(self, other: "TruncSeries2 | Fraction | int") -> "TruncSeries2":
-        if isinstance(other, (int, Fraction)):
-            out = TruncSeries2.__new__(TruncSeries2)
-            out.truncation = self.truncation
-            out._terms = {e: c * other for e, c in self._terms.items()} if other else {}
-            return out
+    def __mul__(self, other: "TruncSeries2") -> "TruncSeries2":
         self._check(other)
         cap = self.truncation
         data: dict[tuple[int, int], Fraction | int] = {}
@@ -589,16 +487,6 @@ class TruncSeries2:
         out.truncation = cap
         out._terms = data
         return out
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "TruncSeries2":
-        if e < 0:
-            raise ValueError("negative series power")
-        result = TruncSeries2.constant(1, self.truncation)
-        for _ in range(e):
-            result = result * self
-        return result
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -641,14 +529,8 @@ class IsolationResult(NamedTuple):
 
 def _primitive_positive(p: UniPoly) -> UniPoly:
     # scale by a positive rational: coprime integer coefficients, signs kept
-    if p.is_zero():
-        return p
-    den = lcm(*(c.denominator for c in p.coefficients()))
-    nums = [int(c * den) for c in p.coefficients()]
-    g = 0
-    for v in nums:
-        g = gcd(g, v)
-    return UniPoly([v // g for v in nums])
+    g = gcd(*p.nums)
+    return UniPoly._make([v // g for v in p.nums]) if g else p
 
 
 def _pseudo_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
@@ -658,7 +540,7 @@ def _pseudo_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     multiple of the rational remainder of a by b, which keeps the signs that
     Sturm sign variations read.
     """
-    rem, div = _int_coeffs(a), _int_coeffs(b)
+    rem, div = list(a.nums), b.nums
     db = len(div) - 1
     scale, flip = abs(div[-1]), (1 if div[-1] > 0 else -1)
     quot = [0] * (len(rem) - db)
@@ -672,7 +554,7 @@ def _pseudo_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
         quot[i - db] = c
         for j in range(db):
             rem[i - db + j] -= c * div[j]
-    return UniPoly(quot), UniPoly(rem[:db])
+    return UniPoly._make(quot), UniPoly._make(rem[:db])
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -681,7 +563,7 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     a, b = _primitive_positive(a), _primitive_positive(b)
     while not b.is_zero():
         a, b = b, _primitive_positive(_pseudo_divmod(a, b)[1])
-    return -a if a.leading_coefficient() < 0 else a
+    return -a if a.nums and a.nums[-1] < 0 else a
 
 
 # Word-size primes for the gcd degree bound, tried in order until one divides
@@ -775,20 +657,20 @@ def square_free_part(p: UniPoly) -> UniPoly:
     """
     if p.degree <= 0:
         return p
-    f = _int_coeffs(_primitive_positive(p))
+    f = list(_primitive_positive(p).nums)
     df = [i * c for i, c in enumerate(f)][1:]
     bound = _modular_gcd_degree(f, df)
     if bound == 0:
         return p
     h = _heuristic_gcd(f, df)
     if h is None or len(h) - 1 != bound:
-        h = _int_coeffs(poly_gcd(p, p.derivative()))
+        h = poly_gcd(p, p.derivative()).nums
     if len(h) == 1:
         return p
     q = _exact_quotient(f, h)
     if q is None:
         raise InvariantViolation(f"gcd(p, p') of degree {len(h) - 1} does not divide p of degree {p.degree}")
-    return UniPoly(q)
+    return UniPoly._make(q)
 
 
 def sturm_chain(p: UniPoly) -> list[UniPoly]:
@@ -805,10 +687,6 @@ def sturm_chain(p: UniPoly) -> list[UniPoly]:
             break
         chain.append(rem)
     return [q for q in chain if not q.is_zero()]
-
-
-def _int_coeffs(p: UniPoly) -> list[int]:
-    return [int(c) for c in p.coefficients()]
 
 
 def _homogeneous_value(coeffs: list[int], num: int, den: int) -> int:
@@ -835,7 +713,8 @@ def _variations_int(chain: Sequence[list[int]], at: Fraction) -> int:
 
 def count_roots(chain: Sequence[UniPoly], lo: Fraction, hi: Fraction) -> int:
     """Distinct real roots of the (square-free) chained polynomial in (lo, hi]."""
-    chain_int = [_int_coeffs(_primitive_positive(q)) for q in chain]
+    # each den is positive, so the numerators take the signs of the polynomials
+    chain_int = [q.nums for q in chain]
     return _variations_int(chain_int, Fraction(lo)) - _variations_int(chain_int, Fraction(hi))
 
 
@@ -903,7 +782,7 @@ def sturm_isolate(
     q = square_free_part(p)
     if q.degree == 0:
         return IsolationResult(identically_zero=False, intervals=())
-    q_int = _int_coeffs(_primitive_positive(q))
+    q_int = _primitive_positive(q).nums
     bound_cache: dict[tuple[Fraction, Fraction], int] = {}
 
     def q_sign(at: Fraction) -> int:

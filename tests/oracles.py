@@ -5,8 +5,8 @@ path against it term for term:
 
 * :func:`reference_g` and :func:`reference_h` expand the two shapes once for
   every (s, q) of the double sums;
-* :func:`reference_F` assembles ``prefactor * g + xyz * h`` by the
-  ``MultiPoly3`` ring operations;
+* :func:`reference_F` assembles ``prefactor * g + xyz * h`` term by term
+  with :func:`poly_product` and :func:`poly_sum`;
 * :func:`reference_restrict` substitutes a line into every monomial by two
   integer convolutions and sums the products;
 * :func:`reference_in_kahler_triangle` scales a class onto the face and
@@ -88,10 +88,22 @@ def reference_h(d: Dims) -> MultiPoly3:
     return MultiPoly3({e: v for e, v in acc.items() if v})
 
 
+def poly_sum(*polys: MultiPoly3) -> MultiPoly3:
+    """The sum of the polynomials; the constructor adds equal exponents."""
+    return MultiPoly3([term for p in polys for term in p.terms()])
+
+
+def poly_product(a: MultiPoly3, b: MultiPoly3) -> MultiPoly3:
+    """a * b, one product per pair of terms."""
+    return MultiPoly3(
+        ((ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2]), ca * cb) for ea, ca in a.terms() for eb, cb in b.terms()
+    )
+
+
 def reference_F(d: Dims, g: MultiPoly3, h: MultiPoly3) -> MultiPoly3:
     m, n = d.m, d.n
     prefactor = MultiPoly3({(0, 1, 1): -m * (m + 2), (1, 0, 1): -n * (n + 2), (1, 1, 0): -2})
-    return prefactor * g + MultiPoly3.monomial((1, 1, 1)) * h
+    return poly_sum(poly_product(prefactor, g), poly_product(MultiPoly3({(1, 1, 1): 1}), h))
 
 
 def reference_restrict(p: MultiPoly3, start, end) -> UniPoly:

@@ -25,7 +25,15 @@ from csck.character import (
 )
 from csck.exact import binomial, factorial
 from csck.polynomials import MultiPoly3, UniPoly, int_power_table
-from oracles import int_convolve, reference_component_coeffs, reference_F, reference_g, reference_h
+from oracles import (
+    int_convolve,
+    poly_product,
+    poly_sum,
+    reference_component_coeffs,
+    reference_F,
+    reference_g,
+    reference_h,
+)
 from test_polynomials import F_1_2
 
 # Independently derived coefficient tables (direct per-(s,q) summation with a
@@ -67,7 +75,7 @@ class TestGH:
         d = Dims(1, 2)
         g, h = compute_g(d), compute_h(d)
         prefactor = MultiPoly3({(0, 1, 1): -3, (1, 0, 1): -8, (1, 1, 0): -2})
-        assert prefactor * g + MultiPoly3.monomial((1, 1, 1)) * h == F_1_2
+        assert poly_sum(poly_product(prefactor, g), poly_product(MultiPoly3({(1, 1, 1): 1}), h)) == F_1_2
 
 
 class TestObstruction:
@@ -261,8 +269,8 @@ class TestLocalizedSums:
     def test_eps_difference_cancels_leading_term(self):
         d = Dims(1, 2)
         cls = KahlerClass(3, 4, 2)
-        diff = localized_sum_poly(d, -1, cls) - localized_sum_poly(d, 1, cls)
-        assert diff.coefficient(5) == 0
+        minus, plus = localized_sum_poly(d, -1, cls), localized_sum_poly(d, 1, cls)
+        assert minus.coefficient(5) - plus.coefficient(5) == 0
 
     def test_eps_zero_matches_g_oracle(self):
         d = Dims(1, 1)

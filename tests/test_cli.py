@@ -303,3 +303,19 @@ def test_huge_scan_ranges_are_usage_error_at_once():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "dimension bounds must be at most 100" in proc.stderr
+
+
+def test_benchmark_trace_hooks_leave_stdout_alone():
+    # perfbench/traced.py reads len(F), F.terms(), UniPoly.degree and the Fraction coefficients
+    root = Path(__file__).resolve().parent.parent
+    argv = ["scan", "--m", "1", "--n", "2", "--format", "csv", "--no-meta"]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    tracer = [sys.executable, str(root / "perfbench" / "traced.py")]
+    traced = subprocess.run([*tracer, *argv], env=env, capture_output=True, text=True, timeout=60)
+    plain = subprocess.run([sys.executable, "-m", "csck", *argv], env=env, capture_output=True, text=True, timeout=60)
+    assert traced.returncode == plain.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    report = json.loads(traced.stderr.splitlines()[-1])
+    assert report["restored"] is True
+    assert report["polynomials.restrict_to_line.calls"] > 0
+    assert report["polynomials.restrict_to_line.coeff_bits_max"] > 0

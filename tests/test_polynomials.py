@@ -13,16 +13,21 @@ from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_zz_heu_gcd
 
-from csck import cone, polynomials
-from csck.character import Dims, InvariantViolation, anticanonical_class, compute_obstruction
+from csck import cone, localization, polynomials
+from csck.character import (
+    Dims,
+    InvariantViolation,
+    KahlerClass,
+    _sum_coeffs,
+    anticanonical_class,
+    compute_obstruction,
+    localized_sum_poly,
+)
 from csck.exact import general_binomial
 from csck.polynomials import (
     MultiPoly3,
     TruncSeries2,
     UniPoly,
-    X,
-    Y,
-    Z,
     _pseudo_divmod,
     _sign_at_rational,
     _variations_int,
@@ -32,7 +37,7 @@ from csck.polynomials import (
     sturm_chain,
     sturm_isolate,
 )
-from oracles import reference_restrict
+from oracles import poly_product, poly_sum, reference_restrict
 
 # The golden 13-term polynomial for (m, n) = (1, 2), transcribed term by term.
 F_1_2 = MultiPoly3(
@@ -54,6 +59,15 @@ F_1_2 = MultiPoly3(
 )
 
 
+X = MultiPoly3({(1, 0, 0): 1})
+Y = MultiPoly3({(0, 1, 0): 1})
+Z = MultiPoly3({(0, 0, 1): 1})
+
+
+def _negated(p: MultiPoly3) -> MultiPoly3:
+    return MultiPoly3({e: -c for e, c in p.terms()})
+
+
 def _random_poly(rng, max_degree=3, n_terms=5) -> MultiPoly3:
     terms = {}
     for _ in range(n_terms):
@@ -63,23 +77,26 @@ def _random_poly(rng, max_degree=3, n_terms=5) -> MultiPoly3:
 
 
 class TestMultiPoly3:
+    # the products check the term-map product that tests/oracles.py builds reference_F with
     def test_product_difference_of_squares(self):
-        assert (X + Y) * (X - Y) == X * X - Y * Y
+        difference = poly_sum(X, _negated(Y))
+        assert poly_product(poly_sum(X, Y), difference) == poly_sum(poly_product(X, X), _negated(poly_product(Y, Y)))
 
     def test_product_with_zero(self):
         p = _random_poly(random.Random(5))
-        assert p * MultiPoly3.zero() == MultiPoly3.zero()
+        assert poly_product(p, MultiPoly3()) == MultiPoly3()
 
     def test_square_of_difference(self):
-        assert (X - Z) * (X - Z) == MultiPoly3({(2, 0, 0): 1, (1, 0, 1): -2, (0, 0, 2): 1})
+        difference = poly_sum(X, _negated(Z))
+        assert poly_product(difference, difference) == MultiPoly3({(2, 0, 0): 1, (1, 0, 1): -2, (0, 0, 2): 1})
 
     def test_canonical_form_has_no_zero_terms(self):
-        p = MultiPoly3({(1, 0, 0): 1, (0, 1, 0): -1}) + MultiPoly3({(0, 1, 0): 1})
+        p = MultiPoly3([((1, 0, 0), 1), ((0, 1, 0), -1), ((0, 1, 0), 1)])
         assert dict(p.terms()) == {(1, 0, 0): Fraction(1)}
         rng = random.Random(7)
         for _ in range(20):
             p, q = _random_poly(rng), _random_poly(rng)
-            for poly in (p + q, p - q, p * q, -p):
+            for poly in (poly_sum(p, q), poly_sum(p, _negated(q)), poly_product(p, q), _negated(p)):
                 assert all(c != 0 for _, c in poly.terms())
 
     def test_evaluate_golden_polynomial(self):
@@ -92,7 +109,7 @@ class TestMultiPoly3:
     def test_evaluate_at_origin_gives_constant_term(self):
         rng = random.Random(11)
         for _ in range(10):
-            p = _random_poly(rng) + MultiPoly3.constant(Fraction(rng.randint(-5, 5)))
+            p = poly_sum(_random_poly(rng), MultiPoly3({(0, 0, 0): Fraction(rng.randint(-5, 5))}))
             assert p.evaluate((0, 0, 0)) == p.coefficient((0, 0, 0))
 
     def test_coefficient_of_golden_leading_term(self):
@@ -115,7 +132,7 @@ class TestMultiPoly3:
 
 class TestRestrictToLine:
     def test_constant_on_plane(self):
-        p = X + Y + Z
+        p = poly_sum(X, Y, Z)
         c = (Fraction(1, 3), Fraction(4, 9), Fraction(2, 9))
         restricted = p.restrict_to_line((1, 0, 0), c)
         assert restricted == UniPoly([1])
@@ -150,6 +167,7 @@ class TestRestrictToLine:
 
 
 class TestTruncSeries2:
+    # Phi and Psi are built as localization builds them: (1 + x)^e_x (1 + y)^e_y - 1
     def test_product_of_binomials(self):
         one_x = TruncSeries2.binomial_series(1, 0, 2)
         one_y = TruncSeries2.binomial_series(0, 1, 2)
@@ -161,26 +179,27 @@ class TestTruncSeries2:
         assert (x * y).is_zero()
 
     def test_phi_times_psi(self):
-        one = TruncSeries2.constant(1, 2)
-        phi = TruncSeries2.binomial_series(-1, 1, 2) - one
-        psi = TruncSeries2.binomial_series(1, 1, 2) - one
+        phi = localization._shifted_binomial(-1, 1, 2)
+        psi = localization._shifted_binomial(1, 1, 2)
         assert phi * psi == TruncSeries2(2, {(2, 0): -1, (0, 2): 1})
 
     def test_phi_expansion(self):
-        one = TruncSeries2.constant(1, 2)
-        phi = TruncSeries2.binomial_series(-1, 1, 2) - one
+        binomials = {(0, 0): 1, (1, 0): -1, (0, 1): 1, (2, 0): 1, (1, 1): -1}
+        phi = TruncSeries2(2, binomials) - TruncSeries2(2, {(0, 0): 1})
         assert phi == TruncSeries2(2, {(1, 0): -1, (0, 1): 1, (2, 0): 1, (1, 1): -1})
+        assert phi == localization._shifted_binomial(-1, 1, 2)
         assert phi.coefficient((1, 0)) == -1
 
     def test_square_with_delta_minus_one(self):
-        one = TruncSeries2.constant(1, 2)
-        phi = TruncSeries2.binomial_series(1, -1, 2) - one
-        assert phi**2 == TruncSeries2(2, {(2, 0): 1, (1, 1): -2, (0, 2): 1})
+        phi = TruncSeries2(2, {(1, 0): 1, (0, 1): -1, (0, 2): 1, (1, 1): -1})
+        assert phi == localization._shifted_binomial(1, -1, 2)
+        assert phi * phi == TruncSeries2(2, {(2, 0): 1, (1, 1): -2, (0, 2): 1})
 
     def test_power_of_sum(self):
         s = TruncSeries2(2, {(1, 0): 1, (0, 1): 1})
-        assert s**2 == TruncSeries2(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
-        assert s**0 == TruncSeries2.constant(1, 2)
+        assert s * s == TruncSeries2(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
+        # the zeroth power that starts the powers of Psi is the unit
+        assert s * TruncSeries2(2, {(0, 0): 1}) == s
 
     def test_coefficient_beyond_truncation_rejected(self):
         s = TruncSeries2(2, {(1, 0): 1})
@@ -190,6 +209,8 @@ class TestTruncSeries2:
     def test_mismatched_truncation_rejected(self):
         with pytest.raises(ValueError):
             TruncSeries2(2, {}) * TruncSeries2(3, {})
+        with pytest.raises(ValueError):
+            TruncSeries2(2, {}) - TruncSeries2(3, {})
 
     def test_multiplication_sound_against_polynomials(self):
         # embed random bivariate polynomials and compare all retained terms
@@ -201,7 +222,7 @@ class TestTruncSeries2:
             pa, pb = MultiPoly3(a_terms), MultiPoly3(b_terms)
             sa = TruncSeries2(cap, {(e[0], e[1]): c for e, c in pa.terms()})
             sb = TruncSeries2(cap, {(e[0], e[1]): c for e, c in pb.terms()})
-            product_poly = pa * pb
+            product_poly = poly_product(pa, pb)
             product_series = sa * sb
             for i in range(cap + 1):
                 for j in range(cap + 1 - i):
@@ -235,26 +256,21 @@ def _prs_square_free_part(p):
 
 
 class TestUniPoly:
-    def test_degree_of_product(self):
-        rng = random.Random(17)
-        for _ in range(20):
-            p = UniPoly([Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 4))] + [1])
-            q = UniPoly([Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 4))] + [1])
-            assert (p * q).degree == p.degree + q.degree
-
     def test_pseudo_divmod_reconstructs(self):
         # k*p = quotient*q + remainder with k a positive power of |lc(q)|, also for lc(q) < 0
         p = UniPoly([1, 0, -3, 2, 5])
         for q in (UniPoly([2, 1, 1]), UniPoly([3, 0, -2]), UniPoly([1, 4, 0, -3])):
             quotient, remainder = _pseudo_divmod(p, q)
-            k = (quotient * q + remainder).leading_coefficient() / p.leading_coefficient()
-            assert k in {abs(q.leading_coefficient()) ** e for e in range(p.degree + 1)}
-            assert quotient * q + remainder == p * k
+            P, Q = _to_sympy(p), _to_sympy(q)
+            rebuilt = _to_sympy(quotient) * Q + _to_sympy(remainder)
+            k = rebuilt.LC() / P.LC()
+            assert k in {abs(Q.LC()) ** e for e in range(p.degree + 1)}
+            assert rebuilt == P * k
             assert remainder.degree < q.degree
 
     def test_square_free_part(self):
         # (t - 1)^2 (t + 2) -> (t - 1)(t + 2)
-        p = UniPoly([-1, 1]) * UniPoly([-1, 1]) * UniPoly([2, 1])
+        p = _expand([-1, 1], [-1, 1], [2, 1])
         sf = square_free_part(p)
         assert sf.degree == 2
         assert sf.evaluate(1) == 0 and sf.evaluate(-2) == 0
@@ -277,7 +293,7 @@ class TestUniPoly:
     @pytest.mark.parametrize("candidate", [lambda f, g: None, lambda f, g: [1]], ids=["none", "wrong-degree"])
     def test_forced_fallback_gives_the_remainder_sequence_result(self, monkeypatch, candidate):
         # (t - 1)^3 (2t + 3)^2 (t^2 + 1): gcd(p, p') has degree 3
-        p = UniPoly([-1, 1]) ** 3 * UniPoly([3, 2]) ** 2 * UniPoly([1, 0, 1])
+        p = _expand([-1, 1], [-1, 1], [-1, 1], [3, 2], [3, 2], [1, 0, 1])
         fast = square_free_part(p)
         monkeypatch.setattr(polynomials, "_heuristic_gcd", candidate)
         assert square_free_part(p) == fast == _prs_square_free_part(p)
@@ -286,7 +302,7 @@ class TestUniPoly:
     def test_prime_dividing_the_leading_coefficient_is_skipped(self, monkeypatch):
         # (P t + 1)^2 is constant mod P, where gcd(p, p') would read as degree 0
         prime = polynomials._GCD_PRIMES[0]
-        p = UniPoly([1, prime]) ** 2
+        p = _expand([1, prime], [1, prime])
         f = [int(c) for c in p.coefficients()]
         assert polynomials._modular_gcd_degree(f, [f[1], 2 * f[2]]) == 1
         assert square_free_part(p) == UniPoly([1, prime])
@@ -330,9 +346,7 @@ class TestSturmIsolation:
             roots = set()
             while len(roots) < k:
                 roots.add(Fraction(rng.randint(-20, 20), rng.randint(1, 8)))
-            p = UniPoly([1])
-            for r in roots:
-                p = p * UniPoly([-r, 1])
+            p = _expand(*([-r, 1] for r in roots))
             lo = min(roots) - 1
             hi = max(roots) + 1
             result = sturm_isolate(p, lo, hi, Fraction(1, 64))
@@ -342,13 +356,13 @@ class TestSturmIsolation:
 
     def test_multiplicities_are_reduced(self):
         # (t - 1/2)^2 (t + 3) has two distinct roots
-        p = UniPoly([Fraction(-1, 2), 1]) ** 2 * UniPoly([3, 1])
+        p = _expand([Fraction(-1, 2), 1], [Fraction(-1, 2), 1], [3, 1])
         result = sturm_isolate(p, -4, 4, Fraction(1, 32))
         assert len(result.intervals) == 2
 
     def test_root_exactly_at_midpoint_probe(self):
         # roots at dyadic points hit bisection midpoints exactly
-        p = UniPoly([Fraction(-1, 2), 1]) * UniPoly([Fraction(-9, 16), 1])
+        p = _expand([Fraction(-1, 2), 1], [Fraction(-9, 16), 1])
         result = sturm_isolate(p, 0, 1, Fraction(1, 8))
         assert len(result.intervals) == 2
         for r in (Fraction(1, 2), Fraction(9, 16)):
@@ -372,16 +386,14 @@ class TestSturmIsolation:
         rng = random.Random(77)
         for _ in range(10):
             roots = {Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(3)}
-            p = UniPoly([1])
-            for r in roots:
-                p = p * UniPoly([-r, 1])
+            p = _expand(*([-r, 1] for r in roots))
             result = sturm_isolate(p, min(roots) - 2, max(roots) + 2, Fraction(1, 16))
             sf = square_free_part(p)
             for iv in result.intervals:
                 assert sf.evaluate(iv.lo) * sf.evaluate(iv.hi) < 0
 
     def test_count_matches_sturm_count(self):
-        p = UniPoly([-1, 0, 1]) * UniPoly([-4, 0, 1])  # roots -2, -1, 1, 2
+        p = _expand([-1, 0, 1], [-4, 0, 1])  # roots -2, -1, 1, 2
         chain = sturm_chain(square_free_part(p))
         assert count_roots(chain, Fraction(-3), Fraction(3)) == 4
         assert count_roots(chain, Fraction(0), Fraction(3)) == 2
@@ -412,6 +424,15 @@ def _from_sympy(poly):
     return UniPoly(Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs()))
 
 
+def _to_sympy(p):
+    return sympy.Poly([sympy.Rational(c) for c in reversed(p.coefficients())] or [0], _T, domain="QQ")
+
+
+def _expand(*factors):
+    """The product of coefficient lists (lowest degree first), expanded by sympy."""
+    return _from_sympy(sympy.prod([_to_sympy(UniPoly(f)) for f in factors], start=sympy.Poly(1, _T, domain="QQ")))
+
+
 def _primitive_positive(coeffs):
     den = lcm(*(c.denominator for c in coeffs))
     nums = [int(c * den) for c in coeffs]
@@ -429,7 +450,8 @@ class TestIsolationAgainstSympy:
         got = square_free_part(p)
         assert got.degree == sympy.sqf_part(poly).degree()
         want = _from_sympy(sympy.sqf_part(poly).monic())
-        assert got * (1 / got.leading_coefficient()) == want
+        lead = got.coefficient(got.degree)
+        assert UniPoly(c / lead for c in got.coefficients()) == want
 
     @_DIFFERENTIAL
     @given(_products())
@@ -448,7 +470,7 @@ class TestIsolationAgainstSympy:
         # the chain of p itself ends at gcd(p, p'); the chain of its square-free part is the one isolation uses
         p = drawn[1]
         for q in (p, square_free_part(p)):
-            expected = [sympy.Poly([sympy.Rational(c) for c in reversed(q.coefficients())], _T, domain="QQ")]
+            expected = [_to_sympy(q)]
             expected.append(expected[0].diff(_T))
             while expected[-1].degree() > 0:
                 rem = -sympy.rem(expected[-2], expected[-1])
@@ -540,15 +562,15 @@ def _interval_tuple(result):
 def _isolation_cases(draw):
     """A drawn product with a scan range of any length and sign, extra roots
     placed on its ends and on bisection probe points, and a width."""
-    p = draw(_products())[1]
+    poly = draw(_products())[0]
     lo = draw(_RATIONALS)
     hi = lo + draw(st.sampled_from((Fraction(1, 3), 1, Fraction(3, 2), 5)))
     width = draw(st.sampled_from((Fraction(1, 8), Fraction(1, 64), Fraction(1, 2**20))))
     depth = draw(st.integers(1, 4))
     probe = lo + (hi - lo) * Fraction(2 * draw(st.integers(0, 2 ** (depth - 1) - 1)) + 1, 2**depth)
     for root in draw(st.lists(st.sampled_from((lo, hi, probe)), max_size=3)):
-        p = p * UniPoly([-root, 1]) ** draw(st.integers(1, 2))
-    return p, lo, hi, width
+        poly *= sympy.Poly(_T - sympy.Rational(root), _T, domain="QQ") ** draw(st.integers(1, 2))
+    return _from_sympy(poly), lo, hi, width
 
 
 def _scan_restrictions():
@@ -574,8 +596,7 @@ class TestIsolationAgainstSturm:
     def test_descartes_bound_above_one_at_the_width_stop(self):
         # a complex pair 1/3 +- i/100 beside the real root 1/3 + 1/1000 keeps
         # the Descartes bound at 3 on the width-1/8 cell that holds one root
-        real = UniPoly([Fraction(-1, 3) - Fraction(1, 1000), 1])
-        p = real * UniPoly([Fraction(1, 9) + Fraction(1, 10**4), Fraction(-2, 3), 1])
+        p = _expand([Fraction(-1, 3) - Fraction(1, 1000), 1], [Fraction(1, 9) + Fraction(1, 10**4), Fraction(-2, 3), 1])
         cell = (Fraction(1, 4), Fraction(3, 8))
         q = [int(c) for c in polynomials._primitive_positive(p).coefficients()]
         assert polynomials._descartes_bound(q, *cell) == 3
@@ -625,13 +646,15 @@ class TestIntegerFormAgainstFractions:
     @_DIFFERENTIAL
     @given(_POLYS3, _POLYS3, _POINTS, _RATIONALS)
     def test_derived_polynomials_evaluate_afresh(self, p, q, point, factor):
+        # polynomials built from the terms of evaluated ones get their own integer form
         p.evaluate(point)
         q.evaluate(point)
-        for r in (p + q, p - q, p * q, -p, p.scaled(factor), p * factor):
+        scaled = MultiPoly3({e: c * factor for e, c in p.terms()})
+        for r in (poly_sum(p, q), poly_sum(p, _negated(q)), poly_product(p, q), _negated(p), scaled):
             assert r.evaluate(point) == _fraction_evaluate(r, point)
 
     def test_evaluate_does_not_assume_homogeneity(self):
-        p = X * X + Y
+        p = poly_sum(poly_product(X, X), Y)
         assert p.evaluate((1, 1, 1)) == 2
         assert p.evaluate((2, 2, 2)) == 6
 
@@ -655,8 +678,8 @@ _EXPONENTS = st.tuples(*[st.integers(0, 6)] * 3)
 _RESTRICTION_POLYS = st.one_of(
     _POLYS3,
     st.dictionaries(_EXPONENTS, st.one_of(st.integers(-9, 9), _RATIONALS), max_size=12).map(MultiPoly3),
-    st.builds(MultiPoly3.constant, _RATIONALS),
-    st.builds(MultiPoly3.monomial, _EXPONENTS, st.one_of(st.integers(-9, 9), _RATIONALS)),
+    _RATIONALS.map(lambda c: MultiPoly3({(0, 0, 0): c})),
+    st.builds(lambda e, c: MultiPoly3({e: c}), _EXPONENTS, st.one_of(st.integers(-9, 9), _RATIONALS)),
 )
 # endpoints with zero coordinates often: a zero line coordinate or direction
 _ENDPOINTS = st.tuples(*[st.one_of(st.just(0), _COORDS)] * 3)
@@ -673,10 +696,10 @@ class TestRestrictionAgainstConvolution:
 
     def test_zero_constant_and_single_monomials(self):
         line = ((Fraction(1, 2), 0, 3), (0, Fraction(-2, 3), 1))
-        assert MultiPoly3.zero().restrict_to_line(*line) == UniPoly(())
-        assert MultiPoly3.constant(Fraction(-5, 3)).restrict_to_line(*line) == UniPoly([Fraction(-5, 3)])
+        assert MultiPoly3().restrict_to_line(*line) == UniPoly(())
+        assert MultiPoly3({(0, 0, 0): Fraction(-5, 3)}).restrict_to_line(*line) == UniPoly([Fraction(-5, 3)])
         for e in ((0, 0, 0), (3, 0, 0), (0, 2, 0), (0, 0, 4), (1, 2, 3), (5, 0, 1)):
-            p = MultiPoly3.monomial(e, Fraction(7, 4))
+            p = MultiPoly3({e: Fraction(7, 4)})
             assert p.restrict_to_line(*line) == reference_restrict(p, *line), e
 
     def test_scan_witness_segments(self):
@@ -729,6 +752,82 @@ class TestUniPolyEvaluateAgainstFractions:
         assert p.evaluate(Fraction(1, 2)) == Fraction(1, 2) - Fraction(1, 3) + Fraction(5, 28) + Fraction(3, 40)
 
 
+_NUMERATORS = st.lists(st.one_of(st.just(0), st.integers(-30, 30)), max_size=7)
+
+
+def _assert_one_form(polys, coeffs):
+    """Every polynomial holds the same fields and hash, in lowest terms, and
+    reads back as ``coeffs`` without trailing zeros."""
+    want = list(coeffs)
+    while want and want[-1] == 0:
+        want.pop()
+    first = polys[0]
+    assert first.den > 0 and gcd(first.den, *first.nums) == 1 and first.nums[-1:] != (0,)
+    for p in polys:
+        assert (p.nums, p.den) == (first.nums, first.den)
+        assert p == first and hash(p) == hash(first)
+        assert all(type(c) is Fraction for c in p.coefficients())
+        assert list(p.coefficients()) == want
+
+
+def _lifted_restriction(coeffs):
+    """sum c_i t^i as the restriction of sum c_i 2^i x^i to the line x = t/2,
+    y = z = 0, whose denominator 2^D has to cancel."""
+    lifted = MultiPoly3({(i, 0, 0): c * 2**i for i, c in enumerate(coeffs)})
+    return lifted.restrict_to_line((0, 0, 0), (Fraction(1, 2), 0, 0))
+
+
+class TestUniPolyCanonicalForm:
+    """Integer numerators over one denominator in lowest terms, whichever
+    path built the polynomial."""
+
+    @_DIFFERENTIAL
+    @given(_NUMERATORS, st.integers(1, 12), st.integers(1, 6))
+    def test_rational_coefficients_every_way(self, nums, den, common):
+        coeffs = [Fraction(v, den) for v in nums]
+        polys = [
+            UniPoly(coeffs),
+            UniPoly._make([v * common for v in nums], den * common),
+            _lifted_restriction(coeffs),
+        ]
+        if den == 1:
+            polys.append(UniPoly(nums))
+        _assert_one_form(polys, coeffs)
+
+    @_DIFFERENTIAL
+    @given(st.integers(1, 3), st.integers(1, 3), st.sampled_from((-1, 0, 1)), st.tuples(*[st.integers(-9, 9)] * 3))
+    def test_localized_sums_four_ways(self, m, n, eps, cls):
+        d, cls = Dims(m, n), KahlerClass(*cls)
+        ints = _sum_coeffs(d, eps, cls)
+        coeffs = [Fraction(c) for c in ints]
+        polys = [UniPoly(coeffs), UniPoly(ints), _lifted_restriction(coeffs), localized_sum_poly(d, eps, cls)]
+        _assert_one_form(polys, coeffs)
+
+    def test_zero_polynomial_is_empty_over_one(self):
+        zeros = [
+            UniPoly(),
+            UniPoly([0, Fraction(0, 7)]),
+            UniPoly._make([0, 0], 6),
+            MultiPoly3().restrict_to_line((0, 0, 0), (1, 2, 3)),
+            UniPoly([Fraction(5, 3)]).derivative(),
+        ]
+        for p in zeros:
+            assert (p.nums, p.den) == ((), 1)
+        _assert_one_form(zeros, [])
+
+    def test_denominators_cancel(self):
+        cases = [
+            (UniPoly._make([2, 4, 0], 6), ((1, 2), 3)),
+            (UniPoly([Fraction(1, 2), Fraction(3, 2)]), ((1, 3), 2)),
+            (UniPoly([Fraction(1, 2), Fraction(3, 2)]).derivative(), ((3,), 2)),
+            (UniPoly([1, Fraction(3, 2), Fraction(-1, 2)]).derivative(), ((3, -2), 2)),
+            (UniPoly([1, Fraction(1, 2)]).derivative(), ((1,), 2)),
+            (UniPoly([1, Fraction(1, 2), Fraction(1, 4)]).derivative(), ((1, 1), 2)),
+        ]
+        for p, fields in cases:
+            assert (p.nums, p.den) == fields
+
+
 def _fraction_series_product(a, b, cap):
     """The truncated product of two {(i, j): Fraction} maps, term by term."""
     out = {}
@@ -760,19 +859,17 @@ class TestTruncSeriesAgainstFractions:
                 assert value == expected.get((i, j), 0), (i, j)
 
     @_DIFFERENTIAL
-    @given(_SERIES_TERMS, _SERIES_TERMS, st.one_of(st.integers(-3, 3), _RATIONALS))
-    def test_products_and_sums_match_oracle(self, a, b, factor):
-        kept = {e: Fraction(c) for e, c in a.items() if sum(e) <= _SERIES_CAP}
+    @given(_SERIES_TERMS, _SERIES_TERMS)
+    def test_products_and_sums_match_oracle(self, a, b):
         sa, sb = TruncSeries2(_SERIES_CAP, a), TruncSeries2(_SERIES_CAP, b)
         self._assert_matches(sa * sb, _fraction_series_product(a, b, _SERIES_CAP))
         cubed = _fraction_series_product(_fraction_series_product(a, b, _SERIES_CAP), b, _SERIES_CAP)
         self._assert_matches(sa * sb * sb, cubed)
-        summed = dict(kept)
+        difference = {e: Fraction(c) for e, c in a.items() if sum(e) <= _SERIES_CAP}
         for e, c in b.items():
             if sum(e) <= _SERIES_CAP:
-                summed[e] = summed.get(e, Fraction(0)) + Fraction(c)
-        self._assert_matches(sa + sb, summed)
-        self._assert_matches(sa * factor, {e: c * Fraction(factor) for e, c in kept.items()})
+                difference[e] = difference.get(e, Fraction(0)) - Fraction(c)
+        self._assert_matches(sa - sb, difference)
         assert all(type(c) is Fraction for _, c in (sa * sb).terms())
 
     @_DIFFERENTIAL
@@ -812,3 +909,16 @@ class TestTruncSeriesAgainstFractions:
                 for j in range(6 - i)
             }
             self._assert_matches(series, expected)
+
+    def test_shifted_binomial_matches_general_binomials(self):
+        # (1 + x)^e_x (1 + y)^e_y - 1: the series subtraction of the localization route
+        for e_x in (-3, -1, 0, 1, 3):
+            for e_y in (-3, -1, 0, 1, 3):
+                series = localization._shifted_binomial(e_x, e_y, 5)
+                expected = {
+                    (i, j): Fraction(general_binomial(e_x, i) * general_binomial(e_y, j)) - (i == j == 0)
+                    for i in range(6)
+                    for j in range(6 - i)
+                }
+                self._assert_matches(series, expected)
+                assert all(c != 0 for _, c in series.terms()), (e_x, e_y)
