@@ -67,6 +67,9 @@ CASES["meta-csv"] = ("scan", "--m", "1..3", "--n", "2..4", "--format", "csv", "-
 CASES["scan-wide-json"] = ("scan", "--m", "10", "--n", "9..12", "--all-pairs", "--format", "json", "--no-meta")
 CASES["scan-far-json"] = ("scan", "--m", "24", "--n", "26", "--format", "json", "--no-meta")
 CASES["scan-far49-json"] = ("scan", "--m", "49", "--n", "51", "--format", "json", "--no-meta")
+# every pair up to 12, the 78 with m >= n included: their vertex signs decide
+# whether the l1 search runs
+CASES["scan-square12-json"] = ("scan", "--m", "1..12", "--n", "1..12", "--all-pairs", "--format", "json", "--no-meta")
 
 EXPECTED = {
     "character0-json": "353c05a1762efce5a8d27c312e6c9c66a0809139c12c312ff42c375d5c2f6bab",
@@ -110,6 +113,7 @@ EXPECTED = {
     "scan0-text-approx": "47e44a7b5fba2afb9f4de250f761f71be5d38a904d8978a1f59467f7b0330922",
     "scan-far-json": "d79fb78eeec5c7e1386878d15fd57bacd1f0da202800726a0300c6043bb382d8",
     "scan-far49-json": "e2c1b8e2559f6cc003ae7fb38dbe0788787814b54f04193452db1d279bfd207a",
+    "scan-square12-json": "72c83ca7aac21c182af044d608054d7fb74db4f3c3e4786ddd0be314f5d31d8b",
     "scan-wide-json": "92f7ffa150b49a08bf0027553d178dc1a5077c742285c1122f57df5ba7939f6d",
     "scan1-csv": "692cb39524ad97b61bf28663aabd1807e101e0a3bf5ac05150be289104ba7c41",
     "scan1-csv-approx": "5bf4e7153414e324d8ba01b7bcafd5df33ccd8441e7a1a3942d495300a8f739a",
