@@ -127,11 +127,13 @@ def _double_sum_coeff(d: Dims, s: int, q: int) -> int:
     )
 
 
-def _moments(d: Dims) -> list[tuple[int, int]]:
+@lru_cache(maxsize=None)
+def _moments(d: Dims) -> tuple[tuple[int, int], ...]:
     """(S0_q, S1_q) = (sum_s c(s, q), sum_s s c(s, q)) for q = 0..m.
 
     The shapes in g and h depend on q alone and their scales are at most
-    linear in s, so these two moments carry all of the s-sum."""
+    linear in s, so these two moments carry all of the s-sum; so do the
+    brackets of the probe-line limits in :mod:`csck.cone`."""
     m, n = d.m, d.n
     moments = []
     for q in range(m + 1):
@@ -141,7 +143,7 @@ def _moments(d: Dims) -> list[tuple[int, int]]:
             s0 += c
             s1 += s * c
         moments.append((s0, s1))
-    return moments
+    return tuple(moments)
 
 
 def _add_shape(acc: dict[Exponent3, int], scale: int, e_x: int, e_y: int, shift_x: bool) -> None:
@@ -155,7 +157,7 @@ def _add_shape(acc: dict[Exponent3, int], scale: int, e_x: int, e_y: int, shift_
         c = -c * (top - i) // (i + 1)
 
 
-def _g_terms(d: Dims, moments: list[tuple[int, int]]) -> dict[Exponent3, int]:
+def _g_terms(d: Dims, moments: tuple[tuple[int, int], ...]) -> dict[Exponent3, int]:
     m, n = d.m, d.n
     acc: dict[Exponent3, int] = {}
     for q, (s0, _) in enumerate(moments):
@@ -164,7 +166,7 @@ def _g_terms(d: Dims, moments: list[tuple[int, int]]) -> dict[Exponent3, int]:
     return {e: v for e, v in acc.items() if v}
 
 
-def _h_terms(d: Dims, moments: list[tuple[int, int]]) -> dict[Exponent3, int]:
+def _h_terms(d: Dims, moments: tuple[tuple[int, int], ...]) -> dict[Exponent3, int]:
     m, n = d.m, d.n
     acc: dict[Exponent3, int] = {}
     for q, (s0, s1) in enumerate(moments):

@@ -21,8 +21,8 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .character import Dims, InvariantViolation, KahlerClass, _make_checked, anticanonical_class, compute_obstruction
-from .exact import binomial, sign
+from .character import Dims, KahlerClass, _make_checked, _moments, anticanonical_class, compute_obstruction
+from .exact import InvariantViolation, sign
 from .polynomials import MultiPoly3, RootInterval, UniPoly, _homogeneous_value, sturm_isolate
 
 REGION_INSIDE = "inside"
@@ -109,40 +109,33 @@ def in_kahler_triangle(d: Dims, c: KahlerClass) -> str:
 
 def limit_l1(d: Dims) -> Fraction:
     """Closed form of lim F(l1(t)) / y1(t)^(n+3) as t -> 0+ along the line
-    from A to C; negative for every pair 1 <= m < n <= 10."""
+    from A to C; negative for every pair 1 <= m < n <= 10.
+
+    Only q = 0 of the double sum reaches this limit, so with the q = 0
+    moments and lam = (n+1) S1_0 - (m + mn + 2n + n^2) S0_0 it is
+    2 (lam (n+2)^(n+1) - (lam - 2 S0_0) n^(n+1)) / (n+2)^(n+2)."""
     m, n = d.m, d.n
-    total = Fraction(0)
-    for s in range(m + n + 1):
-        c = binomial(m + n + 2, s) * binomial(s, m)
-        if c == 0:
-            continue
-        c *= (-1) ** (m + n + s + 1)
-        lin = (n + 1) * s - m - m * n - 2 * n - n * n
-        total += Fraction(2 * c, (n + 2) ** (n + 2)) * (
-            lin * (n + 2) ** (n + 1) - (lin - 2) * n ** (n + 1)
-        )
-    return total
+    s0, s1 = _moments(d)[0]
+    lam = (n + 1) * s1 - (m + m * n + 2 * n + n * n) * s0
+    return Fraction(2 * (lam * (n + 2) ** (n + 1) - (lam - 2 * s0) * n ** (n + 1)), (n + 2) ** (n + 2))
 
 
 def limit_l2(d: Dims) -> Fraction:
     """Closed form of lim F(l2(t)) / z2(t)^2 as t -> 0+ along the line from
-    the AB midpoint to the apex; positive for every pair 1 <= m < n <= 10."""
+    the AB midpoint to the apex; positive for every pair 1 <= m < n <= 10.
+
+    The double sum of c(s, q) times a bracket linear in s, read from the
+    per-q moments: sum_q [(2(n-m) q^2 + k1 q + k3) S0_q + (2(n+1) q + k2) S1_q]
+    over 2^(m+n+2)."""
     m, n = d.m, d.n
-    total = Fraction(0)
-    for s in range(m + n + 1):
-        for q in range(m + 1):
-            c = binomial(m + n + 2, s) * binomial(s, m - q) * binomial(m + n - s, q)
-            if c == 0:
-                continue
-            c *= (-1) ** (m + n + s + q + 1)
-            bracket = (
-                2 * (n - m) * q * q
-                + (2 * (n + 1) * s + (m * m - 4 * m * n - n * n - 7 * m - 3 * n - 2)) * q
-                + (-m * n + n * n - m + 2 * n + 1) * s
-                + 3 * m * m + m * m * n - n**3 - m * n - 4 * n * n - 2 * m - 4 * n
-            )
-            total += Fraction(c * bracket, 2 ** (m + n + 2))
-    return total
+    k1 = m * m - 4 * m * n - n * n - 7 * m - 3 * n - 2
+    k2 = -m * n + n * n - m + 2 * n + 1
+    k3 = 3 * m * m + m * m * n - n**3 - m * n - 4 * n * n - 2 * m - 4 * n
+    total = sum(
+        (2 * (n - m) * q * q + k1 * q + k3) * s0 + (2 * (n + 1) * q + k2) * s1
+        for q, (s0, s1) in enumerate(_moments(d))
+    )
+    return Fraction(total, 2 ** (m + n + 2))
 
 
 def restrict_f_to_line(d: Dims, start, end) -> UniPoly:
@@ -154,20 +147,10 @@ def sign_at(d: Dims, c: KahlerClass) -> int:
     return sign(compute_obstruction(d).F.evaluate(c))
 
 
-class KeVerdict(NamedTuple):
-    """Value of F on the anticanonical class; zero would be the necessary
-    condition for a Kahler-Einstein metric."""
-
-    dims: Dims
-    f_at_c1: Fraction
-
-    @property
-    def ke_admissible(self) -> bool:
-        return self.f_at_c1 == 0
-
-
-def ke_check(d: Dims) -> KeVerdict:
-    return KeVerdict(dims=d, f_at_c1=compute_obstruction(d).F.evaluate(anticanonical_class(d)))
+def ke_check(d: Dims) -> Fraction:
+    """F on the anticanonical class; zero would be the necessary condition
+    for a Kahler-Einstein metric."""
+    return compute_obstruction(d).F.evaluate(anticanonical_class(d))
 
 
 class IsolatedRoot(NamedTuple):
@@ -240,8 +223,9 @@ def isolate_on_segment(
     _check_width(width)
     restricted = restrict_f_to_line(d, start, end)
     result = sturm_isolate(restricted, Fraction(0), Fraction(1), width)
-    sign_start = sign_at(d, start)
-    sign_end = sign_at(d, end)
+    # the restriction is exact, so its values at t = 0 and 1 are F at the ends
+    sign_start = sign(restricted.evaluate(0))
+    sign_end = sign(restricted.evaluate(1))
     roots = []
     for interval in result.intervals:
         mid_class = _point_on_segment(start, end, interval.midpoint())
@@ -320,10 +304,11 @@ def scan_pair(m: int, n: int, width: Fraction = DEFAULT_WIDTH) -> ScanRow:
     anticanonical vertex when F is negative there, else searched along l1.
     """
     d = Dims(m, n)
-    ke = ke_check(d)
+    f_at_c1 = ke_check(d)
     vc = vertex_c(d).as_class()
     positive = _search_signed_point(d, _EDGE_MIDPOINT, _APEX, +1)
-    if sign_at(d, vc) < 0:
+    # F is homogeneous and C = c1 / (m+n+6), so F(C) has the sign of F(c1)
+    if f_at_c1 < 0:
         negative = vc
     else:
         negative = _search_signed_point(d, _FACE_A, vc, -1)
@@ -332,25 +317,19 @@ def scan_pair(m: int, n: int, width: Fraction = DEFAULT_WIDTH) -> ScanRow:
     if sign_change:
         report = isolate_on_segment(d, positive, negative, width)
         intervals = tuple(r.interval for r in report.roots)
-        if not intervals:
-            raise InvariantViolation(f"witness segment for ({m}, {n}) lost its sign change")
     return ScanRow(
         m=m,
         n=n,
         limit1=limit_l1(d),
         limit2=limit_l2(d),
-        f_at_c1=ke.f_at_c1,
-        ke_admissible=ke.ke_admissible,
+        f_at_c1=f_at_c1,
+        ke_admissible=f_at_c1 == 0,
         sign_change_found=sign_change,
         paper_backed=1 <= m < n <= 10,
         witness_start=positive if sign_change else None,
         witness_end=negative if sign_change else None,
         witness_intervals=intervals,
     )
-
-
-def _scan_pair_tuple(args: tuple[int, int, Fraction]) -> ScanRow:
-    return scan_pair(*args)
 
 
 def scan_range(
@@ -381,7 +360,7 @@ def scan_range(
         raise ValueError(f"jobs must be 1 to {MAX_JOBS}, got {jobs}")
     _check_width(width)
     pairs = [
-        (m, n, width)
+        (m, n)
         for m in range(m_lo, m_hi + 1)
         for n in range(n_lo, n_hi + 1)
         if all_pairs or m < n
@@ -390,11 +369,10 @@ def scan_range(
         # imported here: the pool machinery loads multiprocessing, which no other path needs
         from concurrent.futures import ProcessPoolExecutor
 
+        ms, ns = zip(*pairs)
         with ProcessPoolExecutor(max_workers=min(jobs, len(pairs))) as pool:
-            rows = list(pool.map(_scan_pair_tuple, pairs))
-    else:
-        rows = [scan_pair(m, n, w) for m, n, w in pairs]
-    return rows
+            return list(pool.map(scan_pair, ms, ns, [width] * len(pairs)))
+    return [scan_pair(m, n, width) for m, n in pairs]
 
 
 class FaceSample(NamedTuple):

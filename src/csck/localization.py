@@ -216,19 +216,6 @@ class CycloElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "CycloElement":
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = CycloElement.rational(self.p, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
     def conjugate(self, k: int) -> "CycloElement":
         """The Galois automorphism sigma_k: alpha_p -> alpha_p^k, for k prime to p."""
         if k % self.p == 0:

@@ -97,7 +97,7 @@ def check_limit_signs() -> CheckResult:
 def check_ke_nonvanishing() -> CheckResult:
     """F(m+2, n+2, 2) != 0 for all 45 pairs."""
     start = time.perf_counter()
-    bad = [(m, n) for m, n in _backed_pairs() if cone.ke_check(Dims(m, n)).ke_admissible]
+    bad = [(m, n) for m, n in _backed_pairs() if cone.ke_check(Dims(m, n)) == 0]
     return _result("anticanonical_nonvanishing_45_pairs", start, bad, "45 pairs: F(c1) != 0")
 
 

@@ -16,7 +16,10 @@ path against it term for term:
 * :func:`reference_root_sum` evaluates Lambda_j in full at every root of
   unity, one inversion per (s, j, k), by :func:`reference_lambda_at_root`;
 * :func:`reference_component_coeffs` recomputes every binomial weight of a
-  localized component on each call.
+  localized component on each call;
+* :func:`reference_limit_l1` and :func:`reference_limit_l2` sum the
+  probe-line limits over every (s, q) of the double sum, with their own copy
+  of its coefficient.
 """
 from fractions import Fraction
 from math import lcm
@@ -157,14 +160,22 @@ def reference_sample_face(d: Dims, resolution: int) -> list[FaceSample]:
     return samples
 
 
+def _cyclo_power(base: CycloElement, e: int) -> CycloElement:
+    """base^e for e >= 0, by e multiplications."""
+    result = CycloElement.rational(base.p, 1)
+    for _ in range(e):
+        result = result * base
+    return result
+
+
 def reference_lambda_at_root(p: int, k: int, d: Dims, s: int, c0: int, delta: int, j: int) -> CycloElement:
     """Lambda_j at alpha_p^k, numerator and denominator built and the
     denominator inverted for this (s, j, k) alone."""
     one = CycloElement.rational(p, 1)
-    num = CycloElement.root_power(p, k * (s * c0 + delta)) * (
-        (CycloElement.root_power(p, k * c0) - one) ** (d.m + d.n + 2 - s)
+    num = CycloElement.root_power(p, k * (s * c0 + delta)) * _cyclo_power(
+        CycloElement.root_power(p, k * c0) - one, d.m + d.n + 2 - s
     )
-    den = (CycloElement.root_power(p, k) - one) * ((CycloElement.root_power(p, k * delta) - one) ** (j + 1))
+    den = (CycloElement.root_power(p, k) - one) * _cyclo_power(CycloElement.root_power(p, k * delta) - one, j + 1)
     return num * den.inverse()
 
 
@@ -192,3 +203,39 @@ def reference_component_coeffs(d: Dims, fc: FixedComponent, eps: int) -> list[in
             int_convolve_into(inner, c, pow_r[m - q], pow_t[s - m + q])
         int_convolve_into(acc, binomial(m + n + 2, s) * fc.delta, inner, pow_k[top - s])
     return acc
+
+
+def reference_limit_l1(d: Dims) -> Fraction:
+    """lim F(l1(t)) / y1(t)^(n+3), summed over s in Fraction."""
+    m, n = d.m, d.n
+    total = Fraction(0)
+    for s in range(m + n + 1):
+        c = binomial(m + n + 2, s) * binomial(s, m)
+        if c == 0:
+            continue
+        c *= (-1) ** (m + n + s + 1)
+        lin = (n + 1) * s - m - m * n - 2 * n - n * n
+        total += Fraction(2 * c, (n + 2) ** (n + 2)) * (
+            lin * (n + 2) ** (n + 1) - (lin - 2) * n ** (n + 1)
+        )
+    return total
+
+
+def reference_limit_l2(d: Dims) -> Fraction:
+    """lim F(l2(t)) / z2(t)^2, summed over every (s, q) in Fraction."""
+    m, n = d.m, d.n
+    total = Fraction(0)
+    for s in range(m + n + 1):
+        for q in range(m + 1):
+            c = binomial(m + n + 2, s) * binomial(s, m - q) * binomial(m + n - s, q)
+            if c == 0:
+                continue
+            c *= (-1) ** (m + n + s + q + 1)
+            bracket = (
+                2 * (n - m) * q * q
+                + (2 * (n + 1) * s + (m * m - 4 * m * n - n * n - 7 * m - 3 * n - 2)) * q
+                + (-m * n + n * n - m + 2 * n + 1) * s
+                + 3 * m * m + m * m * n - n**3 - m * n - 4 * n * n - 2 * m - 4 * n
+            )
+            total += Fraction(c * bracket, 2 ** (m + n + 2))
+    return total

@@ -9,9 +9,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from csck import cone
 from csck.character import Dims, KahlerClass
 from csck.cli import main
 from csck.cone import (
@@ -35,7 +36,8 @@ from csck.cone import (
     sign_at,
     vertex_c,
 )
-from oracles import reference_in_kahler_triangle, reference_sample_face
+from csck.polynomials import MultiPoly3
+from oracles import reference_in_kahler_triangle, reference_limit_l1, reference_limit_l2, reference_sample_face
 
 
 class TestFaceGeometry:
@@ -107,6 +109,15 @@ class TestLimits:
                 assert limit_l1(d) < 0
                 assert limit_l2(d) > 0
 
+    def test_moment_forms_match_double_sums(self):
+        # m >= n included: the closed forms read the per-q moments, the
+        # references sum c(s, q) over every (s, q) with their own binomials
+        for m in range(1, 26):
+            for n in range(1, 26):
+                d = Dims(m, n)
+                assert limit_l1(d) == reference_limit_l1(d), d
+                assert limit_l2(d) == reference_limit_l2(d), d
+
 
 class TestSigns:
     def test_anticanonical_sign(self):
@@ -126,15 +137,19 @@ class TestSigns:
 
 class TestKeCheck:
     def test_golden(self):
-        verdict = ke_check(Dims(1, 2))
-        assert verdict.f_at_c1 == -2304
-        assert not verdict.ke_admissible
+        f_at_c1 = ke_check(Dims(1, 2))
+        assert f_at_c1 == -2304
+        assert isinstance(f_at_c1, Fraction)
 
     def test_symmetric_dims_admit(self):
         # for m = n the anticanonical class lies on the zero locus
-        verdict = ke_check(Dims(1, 1))
-        assert verdict.f_at_c1 == 0
-        assert verdict.ke_admissible
+        assert ke_check(Dims(1, 1)) == 0
+
+
+_SMALL_COORDS = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+_SEGMENT_ENDS = st.builds(KahlerClass, _SMALL_COORDS, _SMALL_COORDS, _SMALL_COORDS)
+# classes on z = 0, where z^2 divides F
+_FLAT_ENDS = st.builds(KahlerClass, _SMALL_COORDS, _SMALL_COORDS, st.just(0))
 
 
 class TestSegments:
@@ -164,6 +179,21 @@ class TestSegments:
         with pytest.raises(ValueError):
             isolate_on_segment(Dims(1, 2), KahlerClass(1, 1, 1), KahlerClass(1, 1, 1))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([Dims(1, 2), Dims(2, 1), Dims(2, 3)]),
+        st.one_of(_SEGMENT_ENDS, _FLAT_ENDS),
+        st.one_of(_SEGMENT_ENDS, _FLAT_ENDS),
+    )
+    @example(Dims(1, 2), KahlerClass(1, 0, 0), KahlerClass(0, 1, 0))  # AB, where F is identically zero
+    @example(Dims(2, 3), KahlerClass(1, 1, 0), KahlerClass(0, 0, 1))  # from z = 0 to the apex
+    def test_endpoint_signs_are_those_of_f(self, d, start, end):
+        # read from the restriction at t = 0 and t = 1, never evaluated apart
+        assume(start != end)
+        report = isolate_on_segment(d, start, end)
+        assert report.sign_start == sign_at(d, start)
+        assert report.sign_end == sign_at(d, end)
+
     def test_json_shape(self):
         d = Dims(1, 2)
         report = isolate_on_segment(d, KahlerClass(Fraction(7, 16), Fraction(7, 16), Fraction(1, 8)), vertex_c(d).as_class())
@@ -190,6 +220,30 @@ class TestScan:
         assert row.limit1 == limit_l1(Dims(1, 2))
         assert row.limit2 == limit_l2(Dims(1, 2))
         assert row.f_at_c1 == -2304
+
+    @pytest.mark.parametrize("m,n", [(1, 2), (4, 7), (2, 2), (3, 1), (10, 9)])
+    def test_f_is_evaluated_once_beyond_the_witness_probes(self, m, n, monkeypatch):
+        # F(c1) is the one full evaluation outside the witness search: the
+        # vertex sign comes from it, the segment end signs from the restriction
+        counts = {"evaluate": 0, "probes": 0}
+        evaluate, search = MultiPoly3.evaluate, cone._search_signed_point
+
+        def counting_evaluate(poly, point):
+            counts["evaluate"] += 1
+            return evaluate(poly, point)
+
+        def counting_search(*args):
+            before = counts["evaluate"]
+            found = search(*args)
+            counts["probes"] += counts["evaluate"] - before
+            return found
+
+        monkeypatch.setattr(MultiPoly3, "evaluate", counting_evaluate)
+        monkeypatch.setattr(cone, "_search_signed_point", counting_search)
+        row = scan_pair(m, n)
+        assert row.sign_change_found
+        assert counts["probes"] >= 1
+        assert counts["evaluate"] == 1 + counts["probes"]
 
     def test_equal_dims_row(self):
         rows = scan_range(3, 3, 3, 3, all_pairs=True)
@@ -314,8 +368,8 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 class TestJobsCap:

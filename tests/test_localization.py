@@ -86,9 +86,10 @@ class TestSeriesRoute:
 class TestCycloElement:
     def test_root_powers_cycle(self):
         a = CycloElement.root_power(5, 1)
-        assert a**5 == CycloElement.rational(5, 1)
-        assert a**7 == CycloElement.root_power(5, 2)
-        assert a ** (-1) == CycloElement.root_power(5, 4)
+        fifth = a * a * a * a * a
+        assert fifth == CycloElement.rational(5, 1)
+        assert fifth * a * a == CycloElement.root_power(5, 2)
+        assert a.inverse() == CycloElement.root_power(5, 4)
 
     def test_all_roots_sum_to_minus_one(self):
         for p in (3, 5, 7):
