@@ -353,8 +353,12 @@ def _cmd_sample_face(args: argparse.Namespace) -> int:
         body = {"samples": ({**s.to_json(), **_approx(args, point=(s.point.x, s.point.y, s.point.z))} for s in samples)}
     elif args.format == "csv":
         header = ("x", "y", "z", "sign", "region") + (("x_approx", "y_approx", "z_approx") if args.approx else ())
-        points = ((s, {"x": s.point.x, "y": s.point.y, "z": s.point.z}) for s in samples)
-        rows = ({**xyz, "sign": SIGN_NAMES[s.sign], "region": s.region, **_approx(args, **xyz)} for s, xyz in points)
+        rows = (
+            {"x": s.point.x, "y": s.point.y, "z": s.point.z, "sign": SIGN_NAMES[s.sign], "region": s.region}
+            for s in samples
+        )
+        if args.approx:
+            rows = ({**row, **_approx(args, x=row["x"], y=row["y"], z=row["z"])} for row in rows)
         body = _csv(header, rows)
     else:
         body = (

@@ -396,6 +396,8 @@ def sample_face(d: Dims, resolution: int) -> Iterator[FaceSample]:
     The arguments are checked, and F built, when this is called; the samples
     are then produced one lattice row at a time as the iterator is read.
     """
+    if isinstance(resolution, bool) or not isinstance(resolution, int):
+        raise ValueError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 3:
         raise ValueError(f"resolution must be at least 3, the first with an interior point, got {resolution}")
     if resolution > MAX_RESOLUTION:
@@ -405,12 +407,19 @@ def sample_face(d: Dims, resolution: int) -> Iterator[FaceSample]:
 
 def _face_rows(d: Dims, f: MultiPoly3, r: int) -> Iterator[FaceSample]:
     # F is homogeneous and R > 0, so F(i/R, j/R, k/R) has the sign of the
-    # integer F(i, j, k); row i is the line (i, t, R - i - t), restricted once
-    # and taken at t = j by integer Horner.
+    # integer F(i, j, k); row i is den * F(i, t, R - i - t) for the positive
+    # den of F's integer form, taken at t = j by integer Horner.  The points
+    # share one coordinate table and skip FacePoint's Fraction check: on the
+    # lattice, x + y + z = 1 is the integer identity i + j + k = R.
     coords = [Fraction(v, r) for v in range(r)]
     for i in range(1, r - 1):
-        row = f.restrict_to_line((i, 0, r - i), (i, 1, r - i - 1)).nums
+        row = f._face_row(i, r - i)
         for j in range(1, r - i):
             k = r - i - j
-            point = FacePoint(coords[i], coords[j], coords[k])
-            yield FaceSample(point, sign(_homogeneous_value(row, j, 1)), _region(d, i, j, k))
+            if i + j + k != r:
+                raise InvariantViolation(f"face point ({i}, {j}, {k}) does not sum to {r}")
+            yield FaceSample(
+                tuple.__new__(FacePoint, (coords[i], coords[j], coords[k])),
+                sign(_homogeneous_value(row, j, 1)),
+                _region(d, i, j, k),
+            )

@@ -70,6 +70,9 @@ CASES["scan-far49-json"] = ("scan", "--m", "49", "--n", "51", "--format", "json"
 # every pair up to 12, the 78 with m >= n included: their vertex signs decide
 # whether the l1 search runs
 CASES["scan-square12-json"] = ("scan", "--m", "1..12", "--n", "1..12", "--all-pairs", "--format", "json", "--no-meta")
+# the benchmark's two faces, m < n and m > n, with the digests its harness stores
+CASES["face-9-10-csv"] = ("sample-face", "-m", "9", "-n", "10", "--resolution", "60", "--format", "csv", "--no-meta")
+CASES["face-10-9-csv"] = ("sample-face", "-m", "10", "-n", "9", "--resolution", "60", "--format", "csv", "--no-meta")
 
 EXPECTED = {
     "character0-json": "353c05a1762efce5a8d27c312e6c9c66a0809139c12c312ff42c375d5c2f6bab",
@@ -88,6 +91,8 @@ EXPECTED = {
     "evaluate1-json-approx": "1ec8f34956ad6b422ac3c0868c22bc1b2f0ed6db8671c14b42a25b87098a22e5",
     "evaluate1-text": "0b35c28f7a9222324b40c6657984d548e7c586f798748a60df01ffc550a74d00",
     "evaluate1-text-approx": "b87d51aa48e9e38358c081f6b44921002a657c199c94a8f2e4968f1b32ac2e5f",
+    "face-10-9-csv": "90942dda6b5442388e64898353c86d30caf85cee53171210c538ba87eb7d6196",
+    "face-9-10-csv": "a691df6498d64c06aa1b0f53f9f0900a422e9766b427af1585f9cef89f7267b1",
     "locate0-json": "6db4586279bc93d14e092d612b87b86dd9605c6aa31f39575ea2d7014b8b08fe",
     "locate0-json-approx": "b46a91f82821b74d3fa2e39ccf023403e2bad99f14d6ed163b8eeb013f1ddfea",
     "locate0-text": "55fa3c68a43de803a624cc0b587e680f610bcbbf7cfbc6d649d09fe2d97615d7",

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import pickle
@@ -202,6 +203,10 @@ class TestSegments:
         assert obj["intervals"] and {"lo", "hi", "midpoint_class", "inside_certified"} <= set(obj["intervals"][0])
 
 
+# SHA-256 of the JSON rows of test_verdicts_past_the_paper_range
+WIDE_SCAN_SHA256 = "e5d201dee784b44969d169b294e8a83c95d069ac1aa656b41104620f93addbd5"
+
+
 class TestScan:
     def test_full_backed_range(self):
         rows = scan_range(1, 9, 2, 10)
@@ -269,15 +274,19 @@ class TestScan:
         assert json.dumps(sequential) == json.dumps(parallel)
 
     def test_verdicts_past_the_paper_range(self):
-        # every pair m < n with m + n <= 40, eight times the paper's 45
+        # every pair m < n with m + n <= 40, eight times the paper's 45; the
+        # rows' JSON, one line each, is pinned as well
         pairs = [(m, n) for n in range(2, 40) for m in range(1, min(n, 41 - n))]
         assert len(pairs) == 380
+        digest = hashlib.sha256()
         for m, n in pairs:
             row = scan_pair(m, n)
+            digest.update(json.dumps(row.to_json()).encode() + b"\n")
             assert row.limit1 < 0, (m, n)
             assert row.limit2 > 0, (m, n)
             assert row.sign_change_found and row.witness_intervals, (m, n)
             assert row.f_at_c1 != 0, (m, n)
+        assert digest.hexdigest() == WIDE_SCAN_SHA256
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -307,6 +316,13 @@ class TestSampleFace:
         for resolution in (1, 2):
             with pytest.raises(ValueError):
                 sample_face(Dims(1, 2), resolution)
+
+    @pytest.mark.parametrize("resolution", [5.0, 7.5, True, Fraction(7)])
+    def test_non_integer_resolution_rejected(self, resolution, monkeypatch):
+        # refused as Dims refuses a non-integer, before F is built
+        monkeypatch.setattr(cone, "compute_obstruction", None)
+        with pytest.raises(ValueError, match="must be an integer"):
+            sample_face(Dims(1, 2), resolution)
 
     def test_resolution_past_cap_rejected(self):
         with pytest.raises(ValueError, match="at most"):

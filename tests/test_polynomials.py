@@ -710,6 +710,33 @@ class TestRestrictionAgainstConvolution:
             assert F.restrict_to_line(*ends) == reference_restrict(F, *ends), (m, n)
 
 
+def _face_row_poly(p, x, c):
+    return UniPoly._make(p._face_row(x, c), p._integer_form()[0])
+
+
+class TestFaceRowAgainstRestriction:
+    """The face-row path den * p(x, t, c - t) against restrict_to_line."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_RESTRICTION_POLYS, st.integers(-12, 12), st.integers(-12, 12))
+    def test_matches_restrict_to_line(self, p, x, c):
+        assert _face_row_poly(p, x, c) == p.restrict_to_line((x, 0, c), (x, 1, c - 1))
+
+    def test_zero_and_constant(self):
+        assert MultiPoly3()._face_row(3, 5) == []
+        assert _face_row_poly(MultiPoly3(), 3, 5) == UniPoly(())
+        assert _face_row_poly(MultiPoly3({(0, 0, 0): Fraction(-5, 3)}), 2, 7) == UniPoly([Fraction(-5, 3)])
+
+    def test_rows_of_real_obstructions(self):
+        # m < n, m > n and m = n, at face resolutions whose rows reach both edges
+        for m, n in ((1, 2), (3, 7), (9, 10), (10, 9), (4, 4)):
+            F = compute_obstruction(Dims(m, n)).F
+            for r in (3, 17, 60):
+                for i in (1, r // 2, r - 2):
+                    got = _face_row_poly(F, i, r - i)
+                    assert got == F.restrict_to_line((i, 0, r - i), (i, 1, r - i - 1)), (m, n, r, i)
+
+
 def _fraction_horner(p, point):
     """The Fraction Horner loop that UniPoly.evaluate replaced, kept as the reference."""
     total = Fraction(0)
