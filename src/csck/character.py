@@ -117,35 +117,6 @@ class CharacterPolys(NamedTuple):
         }
 
 
-def _double_sum_coeff(d: Dims, s: int, q: int) -> int:
-    m, n = d.m, d.n
-    return (
-        binomial(m + n + 2, s)
-        * binomial(s, m - q)
-        * binomial(m + n - s, q)
-        * (-1) ** (m + n + s + q + 1)
-    )
-
-
-@lru_cache(maxsize=None)
-def _moments(d: Dims) -> tuple[tuple[int, int], ...]:
-    """(S0_q, S1_q) = (sum_s c(s, q), sum_s s c(s, q)) for q = 0..m.
-
-    The shapes in g and h depend on q alone and their scales are at most
-    linear in s, so these two moments carry all of the s-sum; so do the
-    brackets of the probe-line limits in :mod:`csck.cone`."""
-    m, n = d.m, d.n
-    moments = []
-    for q in range(m + 1):
-        s0 = s1 = 0
-        for s in range(m - q, m + n - q + 1):
-            c = _double_sum_coeff(d, s, q)
-            s0 += c
-            s1 += s * c
-        moments.append((s0, s1))
-    return tuple(moments)
-
-
 def _add_shape(acc: dict[Exponent3, int], scale: int, e_x: int, e_y: int, shift_x: bool) -> None:
     # acc += scale * (x-z)^e_x y^e_y if shift_x, else scale * x^e_x (y-z)^e_y,
     # binomially expanded
@@ -157,58 +128,84 @@ def _add_shape(acc: dict[Exponent3, int], scale: int, e_x: int, e_y: int, shift_
         c = -c * (top - i) // (i + 1)
 
 
-def _g_terms(d: Dims, moments: tuple[tuple[int, int], ...]) -> dict[Exponent3, int]:
+def _g_terms(d: Dims) -> dict[Exponent3, int]:
     m, n = d.m, d.n
+    big_n = m + n + 2
     acc: dict[Exponent3, int] = {}
-    for q, (s0, _) in enumerate(moments):
-        _add_shape(acc, s0, m - q, n + q + 2, True)
-        _add_shape(acc, -s0, m - q, n + q + 2, False)
+    for k in range(m + 1):
+        s0 = -(n + 1) * binomial(big_n, k)
+        _add_shape(acc, s0, k, big_n - k, True)
+        _add_shape(acc, -s0, k, big_n - k, False)
     return {e: v for e, v in acc.items() if v}
 
 
-def _h_terms(d: Dims, moments: tuple[tuple[int, int], ...]) -> dict[Exponent3, int]:
+def _h_terms(d: Dims) -> dict[Exponent3, int]:
     m, n = d.m, d.n
+    big_n = m + n + 2
     acc: dict[Exponent3, int] = {}
-    for q, (s0, s1) in enumerate(moments):
-        k = m - q
-        _add_shape(acc, (m + n + 2 + (n + 2) * (q - m)) * s0 + (n + 1) * s1, k, n + q + 1, True)
-        _add_shape(acc, (m + n + 2 + n * k) * s0 - (n + 1) * s1, k, n + q + 1, False)
+    for k in range(m + 1):
+        c = (n + 1) * binomial(big_n, k)
+        _add_shape(acc, -(n + 1) * (big_n - k) * c, k, big_n - k - 1, True)
+        _add_shape(acc, ((n + 1) * (m + n) - 2 * (m + 1) + (1 - n) * k) * c, k, big_n - k - 1, False)
         if k:
-            _add_shape(acc, m * k * s0, k - 1, n + q + 2, True)
-            _add_shape(acc, -(m + 2) * k * s0, k - 1, n + q + 2, False)
+            _add_shape(acc, -m * k * c, k - 1, big_n - k, True)
+            _add_shape(acc, (m + 2) * k * c, k - 1, big_n - k, False)
     return {e: v for e, v in acc.items() if v}
 
 
 def compute_g(d: Dims) -> MultiPoly3:
-    """The double sum g(x, y, z): homogeneous of degree m + n + 2,
+    """The double sum g(x, y, z): homogeneous of degree N = m + n + 2,
 
-        g = sum_{s,q} c(s,q) [(x-z)^(m-q) y^(n+q+2) - x^(m-q) (y-z)^(n+q+2)]
-          = sum_q S0_q [(x-z)^(m-q) y^(n+q+2) - x^(m-q) (y-z)^(n+q+2)]
+        g = sum_{s,q} c(s,q) [(x-z)^k y^(N-k) - x^k (y-z)^(N-k)],   k = m - q,
 
-    with c(s,q) = C(m+n+2,s) C(s,m-q) C(m+n-s,q) (-1)^(m+n+s+q+1) and
-    S0_q = sum_s c(s,q): each shape is expanded once per q.
+    with c(s,q) = C(N,s) C(s,k) C(m+n-s,q) (-1)^(m+n+s+q+1).  The shapes
+    depend on q alone, so g, h and the probe-line limits see c only through
+    S0_q = sum_s c(s,q) = -(n+1) C(N,k) and
+    S1_q = sum_s s c(s,q) = -C(N,k) ((n+1)(m+n) + n - q).
+
+    Proof.  C(N,s) C(s,k) = C(N,k) C(a,j) with j = s - k and a = n + q + 2,
+    so S0_q = (-1)^(n+1) C(N,k) sum_{j<=n} (-1)^j C(a,j) P(j), where
+    P(j) = C(n+q-j, q) has degree q in j.  The full sum over j <= a is a
+    difference of order a > q of P and vanishes.  P vanishes at
+    j = n+1..n+q, so the truncated sum is minus the two tail terms at
+    j = a-1 and a, where P is (-1)^q and (-1)^q (q+1): it is (-1)^n (n+1).
+    In S1_q - k S0_q, j C(a,j) = a C(a-1,j-1) gives a difference of order
+    a - 1 > q of P(j+1) cut at j = n-1; its two tail terms make the sum
+    sum_j j (-1)^j C(a,j) P(j) equal to (-1)^n a n.
+
+    limit_l2 (:func:`csck.cone.limit_l2`) times 2^N is
+    sum_{s,q} c(s,q) [2(n-m)q^2 + (2(n+1)s + k1) q + k2 s + k3], with
+    k1 = m^2 - 4mn - n^2 - 7m - 3n - 2, k2 = n^2 - mn - m + 2n + 1 and
+    k3 = 3m^2 + m^2 n - n^3 - mn - 4n^2 - 2m - 4n.  By the moments its q-th
+    term is (a0 + a1 k + a2 k(k-1)) C(N,k), with
+    a0 = (n+1) N (m^2 - mn + 2m + n), a1 = -(n+1)(3m^2 - 2mn + 6m - n^2 + 2n + 1)
+    and a2 = 2(n+1)(m-n+1).  k C(N,k) = N C(N-1,k-1) makes the sum
+    a0 T_N(m) + a1 N T_(N-1)(m-1) + a2 N(N-1) T_(N-2)(m-2), in the partial
+    row sums T_M(j) = sum_{i<=j} C(M,i).  Pascal's rule,
+    T_M(j) = 2 T_(M-1)(j-1) + C(M-1,j), leaves T_(N-2)(m-2) with the
+    coefficient 4 a0 + 2N a1 + N(N-1) a2, which is identically 0, and the
+    boundary terms a0 (2 C(N-2,m-1) + C(N-1,m)) + a1 N C(N-2,m-1), which
+    sum to (m+n) N! / (m! n!).  Along l1 only q = 0 reaches the limit,
+    2 (L (n+2)^(n+1) - (L - 2 S0_0) n^(n+1)) / (n+2)^(n+2) with
+    L = (n+1) S1_0 - (m + mn + 2n + n^2) S0_0, and by the moments L = 0.
     """
-    return MultiPoly3._wrap(_g_terms(d, _moments(d)))
+    return MultiPoly3._wrap(_g_terms(d))
 
 
 def compute_h(d: Dims) -> MultiPoly3:
     """The double sum h(x, y, z): homogeneous of degree m + n + 1,
 
-        h = sum_{s,q} c(s,q) [A (x-z)^(m-q) y^(n+q+1) + m(m-q) (x-z)^(m-q-1) y^(n+q+2)
-                              + B x^(m-q) (y-z)^(n+q+1) - (m+2)(m-q) x^(m-q-1) (y-z)^(n+q+2)]
+        h = sum_{s,q} c(s,q) [A (x-z)^k y^(N-k-1) + m k (x-z)^(k-1) y^(N-k)
+                              + B x^k (y-z)^(N-k-1) - (m+2) k x^(k-1) (y-z)^(N-k)]
 
-    with A = (m+n+2-s) + (n+2)(s-m+q) and B = (m+n+2-s) - n(s-m+q).  A and B
-    are linear in s, so with S0_q = sum_s c(s,q) and S1_q = sum_s s c(s,q)
-    the s-sum of each shape's scale is
-
-        A: (m+n+2 + (n+2)(q-m)) S0_q + (n+1) S1_q
-        B: (m+n+2 + n(m-q)) S0_q - (n+1) S1_q
-
-    and m(m-q) S0_q, -(m+2)(m-q) S0_q for the other two; each shape is
-    expanded once per q.  The (m - q) terms are dropped when q = m, so the
-    exponent m - q - 1 is never formed negative.
+    with N, k and c(s,q) as in :func:`compute_g`, A = (N-s) + (n+2)(s-k)
+    and B = (N-s) - n(s-k).  A and B are linear in s, so by the moments of
+    :func:`compute_g` the four shapes carry the scales
+    -(n+1)^2 (N-k) C(N,k), (n+1) ((n+1)(m+n) - 2(m+1) + (1-n) k) C(N,k),
+    -m (n+1) k C(N,k) and (m+2) (n+1) k C(N,k).  The last two vanish at
+    k = 0, so the exponent k - 1 is never formed negative.
     """
-    return MultiPoly3._wrap(_h_terms(d, _moments(d)))
+    return MultiPoly3._wrap(_h_terms(d))
 
 
 @lru_cache(maxsize=None)
@@ -222,9 +219,8 @@ def compute_obstruction(d: Dims) -> CharacterPolys:
     three homogeneity degrees is off; those can only mean a bug.
     """
     m, n = d.m, d.n
-    moments = _moments(d)
-    g_terms = _g_terms(d, moments)
-    h_terms = _h_terms(d, moments)
+    g_terms = _g_terms(d)
+    h_terms = _h_terms(d)
     shifts = (((0, 1, 1), -m * (m + 2)), ((1, 0, 1), -n * (n + 2)), ((1, 1, 0), -2))
     acc: dict[Exponent3, int] = {}
     for (ex, ey, ez), c in g_terms.items():

@@ -9,7 +9,9 @@ signs of the obstruction polynomial but labels the Kahler status unknown.
 Two probe lines drive the existence argument: l1 from A to C, along which
 F vanishes to order exactly n + 3 with a negative normalized leading
 coefficient, and l2 from the AB edge midpoint to the apex (0,0,1), along
-which F vanishes to order exactly 2 with a positive one.  A sign change
+which F vanishes to order exactly 2 with a positive one.  Both leading
+coefficients have one-term closed forms, so these signs, and with them a
+sign change inside the triangle, hold for every m, n >= 1.  A sign change
 between interior points produces, by root isolation on the connecting
 segment, certified intervals around classes where the obstruction vanishes.
 The isolation counts roots by Descartes' rule of signs and proves each
@@ -21,8 +23,8 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .character import Dims, KahlerClass, _make_checked, _moments, anticanonical_class, compute_obstruction
-from .exact import InvariantViolation, sign
+from .character import Dims, KahlerClass, _make_checked, anticanonical_class, compute_obstruction
+from .exact import InvariantViolation, binomial, sign
 from .polynomials import MultiPoly3, RootInterval, UniPoly, _homogeneous_value, sturm_isolate
 
 REGION_INSIDE = "inside"
@@ -109,33 +111,21 @@ def in_kahler_triangle(d: Dims, c: KahlerClass) -> str:
 
 def limit_l1(d: Dims) -> Fraction:
     """Closed form of lim F(l1(t)) / y1(t)^(n+3) as t -> 0+ along the line
-    from A to C; negative for every pair 1 <= m < n <= 10.
-
-    Only q = 0 of the double sum reaches this limit, so with the q = 0
-    moments and lam = (n+1) S1_0 - (m + mn + 2n + n^2) S0_0 it is
-    2 (lam (n+2)^(n+1) - (lam - 2 S0_0) n^(n+1)) / (n+2)^(n+2)."""
+    from A to C: -4 (n+1) C(N, m) n^(n+1) / (n+2)^(n+2) with N = m + n + 2,
+    negative for every m, n >= 1 (derived in
+    :func:`csck.character.compute_g`)."""
     m, n = d.m, d.n
-    s0, s1 = _moments(d)[0]
-    lam = (n + 1) * s1 - (m + m * n + 2 * n + n * n) * s0
-    return Fraction(2 * (lam * (n + 2) ** (n + 1) - (lam - 2 * s0) * n ** (n + 1)), (n + 2) ** (n + 2))
+    return Fraction(-4 * (n + 1) * binomial(m + n + 2, m) * n ** (n + 1), (n + 2) ** (n + 2))
 
 
 def limit_l2(d: Dims) -> Fraction:
     """Closed form of lim F(l2(t)) / z2(t)^2 as t -> 0+ along the line from
-    the AB midpoint to the apex; positive for every pair 1 <= m < n <= 10.
-
-    The double sum of c(s, q) times a bracket linear in s, read from the
-    per-q moments: sum_q [(2(n-m) q^2 + k1 q + k3) S0_q + (2(n+1) q + k2) S1_q]
-    over 2^(m+n+2)."""
+    the AB midpoint to the apex: (m+n) N! / (m! n! 2^N) with N = m + n + 2,
+    positive for every m, n >= 1 (derived in
+    :func:`csck.character.compute_g`)."""
     m, n = d.m, d.n
-    k1 = m * m - 4 * m * n - n * n - 7 * m - 3 * n - 2
-    k2 = -m * n + n * n - m + 2 * n + 1
-    k3 = 3 * m * m + m * m * n - n**3 - m * n - 4 * n * n - 2 * m - 4 * n
-    total = sum(
-        (2 * (n - m) * q * q + k1 * q + k3) * s0 + (2 * (n + 1) * q + k2) * s1
-        for q, (s0, s1) in enumerate(_moments(d))
-    )
-    return Fraction(total, 2 ** (m + n + 2))
+    big_n = m + n + 2
+    return Fraction((m + n) * big_n * (big_n - 1) * binomial(m + n, m), 2**big_n)
 
 
 def restrict_f_to_line(d: Dims, start, end) -> UniPoly:
@@ -300,7 +290,7 @@ def scan_pair(m: int, n: int, width: Fraction = DEFAULT_WIDTH) -> ScanRow:
     and a sign-change witness with isolated roots when one exists.
 
     The positive witness is searched along l2 (limit_l2 > 0 guarantees one
-    near its start for paper-backed pairs); the negative witness is the
+    near its start for every pair); the negative witness is the
     anticanonical vertex when F is negative there, else searched along l1.
     """
     d = Dims(m, n)

@@ -123,9 +123,10 @@ def check_assembly_identity() -> CheckResult:
 
 def check_localized_sum_structure() -> CheckResult:
     """Top coefficients of the localized sums are g and -eps*h, the eps = 0
-    sum is a monomial, and the direct specialized path agrees."""
+    sum is a monomial, and the direct specialized path agrees, on classes
+    drawn apart from those of :func:`check_assembly_identity`."""
     start = time.perf_counter()
-    rng = random.Random(SAMPLE_SEED)
+    rng = random.Random(SAMPLE_SEED + 1)
     bad = []
     for m in range(1, 7):
         for n in range(1, 8 - m):

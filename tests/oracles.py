@@ -3,6 +3,8 @@
 Each is the earlier implementation, kept so that tests can compare the fast
 path against it term for term:
 
+* :func:`double_sum_coeff` is the coefficient c(s, q) of the double sums
+  that define g and h, and :func:`reference_moments` sums it over s;
 * :func:`reference_g` and :func:`reference_h` expand the two shapes once for
   every (s, q) of the double sums;
 * :func:`reference_F` assembles ``prefactor * g + xyz * h`` term by term
@@ -24,7 +26,7 @@ path against it term for term:
 from fractions import Fraction
 from math import lcm
 
-from csck.character import Dims, FixedComponent, KahlerClass, _double_sum_coeff
+from csck.character import Dims, FixedComponent, KahlerClass
 from csck.cone import (
     REGION_BOUNDARY,
     REGION_INSIDE,
@@ -50,6 +52,29 @@ def int_convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def double_sum_coeff(d: Dims, s: int, q: int) -> int:
+    """c(s, q) = C(m+n+2, s) C(s, m-q) C(m+n-s, q) (-1)^(m+n+s+q+1), the
+    coefficient of the (s, q) double sums that define g and h."""
+    m, n = d.m, d.n
+    return (
+        binomial(m + n + 2, s)
+        * binomial(s, m - q)
+        * binomial(m + n - s, q)
+        * (-1) ** (m + n + s + q + 1)
+    )
+
+
+def reference_moments(d: Dims) -> list[tuple[int, int]]:
+    """(S0_q, S1_q) = (sum_s c(s, q), sum_s s c(s, q)) for q = 0..m, over the
+    s where C(s, m-q) C(m+n-s, q) is nonzero."""
+    m, n = d.m, d.n
+    moments = []
+    for q in range(m + 1):
+        weights = [(s, double_sum_coeff(d, s, q)) for s in range(m - q, m + n - q + 1)]
+        moments.append((sum(c for _, c in weights), sum(s * c for s, c in weights)))
+    return moments
+
+
 def _accumulate_shifted(acc, scale, shift_x, e_x, shift_y, e_y):
     # scale * (x-z if shift_x else x)^e_x * (y-z if shift_y else y)^e_y,
     # binomially expanded into an integer coefficient map.
@@ -66,7 +91,7 @@ def reference_g(d: Dims) -> MultiPoly3:
     acc = {}
     for s in range(m + n + 1):
         for q in range(m + 1):
-            c = _double_sum_coeff(d, s, q)
+            c = double_sum_coeff(d, s, q)
             if c == 0:
                 continue
             _accumulate_shifted(acc, c, True, m - q, False, n + q + 2)
@@ -79,7 +104,7 @@ def reference_h(d: Dims) -> MultiPoly3:
     acc = {}
     for s in range(m + n + 1):
         for q in range(m + 1):
-            c = _double_sum_coeff(d, s, q)
+            c = double_sum_coeff(d, s, q)
             if c == 0:
                 continue
             _accumulate_shifted(acc, c * ((m + n + 2 - s) + (n + 2) * (s - m + q)), True, m - q, False, n + q + 1)

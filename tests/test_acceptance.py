@@ -58,3 +58,21 @@ def test_criterion_10_structural_properties():
 
 def test_criterion_11_cyclotomic_congruences_deep():
     _run(verification.check_cyclotomic_congruences, bound_seconds=120)
+
+
+def test_assembly_and_structure_checks_draw_different_classes(monkeypatch):
+    # the two seeded checks each cover their own 420 (dims, class) samples
+    drawn = []
+    real = verification._random_classes
+
+    def recording(rng, count):
+        classes = real(rng, count)
+        drawn[-1].extend(classes)
+        return classes
+
+    monkeypatch.setattr(verification, "_random_classes", recording)
+    for check in (verification.check_assembly_identity, verification.check_localized_sum_structure):
+        drawn.append([])
+        assert check().passed
+    assert len(drawn[0]) == len(drawn[1]) == 420
+    assert drawn[0] != drawn[1]

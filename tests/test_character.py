@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from csck import character
 from csck.character import (
     Dims,
     KahlerClass,
@@ -33,6 +34,7 @@ from oracles import (
     reference_F,
     reference_g,
     reference_h,
+    reference_moments,
 )
 from test_polynomials import F_1_2
 
@@ -122,7 +124,7 @@ def _assert_build_matches_reference(d):
 
 
 class TestBuildAgainstReference:
-    """The per-q moment build and the integer assembly of F against the
+    """The closed-form per-q build and the integer assembly of F against the
     per-(s, q) expansion and the ring-operation assembly."""
 
     @pytest.mark.parametrize("m", range(1, 13))
@@ -143,6 +145,40 @@ class TestBuildAgainstReference:
         assert type(F.coefficient((0, 0, 0))) is Fraction
 
 
+def _recorded_shapes(monkeypatch, terms, d):
+    """The (scale, e_x, e_y, shift_x) of every shape a term builder adds."""
+    shapes = []
+    monkeypatch.setattr(character, "_add_shape", lambda acc, *shape: shapes.append(shape))
+    terms(d)
+    return shapes
+
+
+class TestClosedFormWeights:
+    """The one-term weights of g and h against the moments of the (s, q)
+    double sum, for every pair with m, n <= 40."""
+
+    @pytest.mark.parametrize("m", range(1, 41))
+    def test_moments_and_shape_scales(self, m, monkeypatch):
+        for n in range(1, 41):
+            d = Dims(m, n)
+            big_n = m + n + 2
+            g_shapes, h_shapes = [], []
+            for q, (s0, s1) in enumerate(reference_moments(d)):
+                k = m - q
+                assert s0 == -(n + 1) * binomial(big_n, k), (d, q)
+                assert s1 == -binomial(big_n, k) * ((n + 1) * (m + n) + n - q), (d, q)
+                g_shapes += [(s0, k, big_n - k, True), (-s0, k, big_n - k, False)]
+                # the s-sums of the scales A = (N-s) + (n+2)(s-k) and B = (N-s) - n(s-k)
+                h_shapes += [
+                    ((big_n - (n + 2) * k) * s0 + (n + 1) * s1, k, big_n - k - 1, True),
+                    ((big_n + n * k) * s0 - (n + 1) * s1, k, big_n - k - 1, False),
+                ]
+                if k:
+                    h_shapes += [(m * k * s0, k - 1, big_n - k, True), (-(m + 2) * k * s0, k - 1, big_n - k, False)]
+            assert sorted(_recorded_shapes(monkeypatch, character._g_terms, d)) == sorted(g_shapes), d
+            assert sorted(_recorded_shapes(monkeypatch, character._h_terms, d)) == sorted(h_shapes), d
+
+
 # Corrupted integer builds: one term of the wrong degree in g, then a g term
 # that is not an integer, which leaves F non-integral.
 _CORRUPTIONS = {
@@ -157,8 +193,8 @@ from csck.exact import InvariantViolation
 
 real = character._g_terms
 
-def corrupted(d, moments):
-    terms = real(d, moments)
+def corrupted(d):
+    terms = real(d)
     {edit}
     return terms
 

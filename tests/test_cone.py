@@ -110,9 +110,15 @@ class TestLimits:
                 assert limit_l1(d) < 0
                 assert limit_l2(d) > 0
 
+    def test_signs_for_every_accepted_pair(self):
+        for m in range(1, MAX_DIM + 1):
+            for n in range(1, MAX_DIM + 1):
+                d = Dims(m, n)
+                assert limit_l1(d) < 0 < limit_l2(d), d
+
     def test_moment_forms_match_double_sums(self):
-        # m >= n included: the closed forms read the per-q moments, the
-        # references sum c(s, q) over every (s, q) with their own binomials
+        # m >= n included: the one-term closed forms against references that
+        # sum c(s, q) over every (s, q) with their own binomials
         for m in range(1, 26):
             for n in range(1, 26):
                 d = Dims(m, n)

@@ -84,3 +84,30 @@ def test_line_restriction_matches_substitution():
         assert restricted.coefficient(k) == Fraction(
             int(expected.coeff_monomial(t**k).p), int(expected.coeff_monomial(t**k).q)
         )
+
+
+def test_limit_l2_proof_steps():
+    # the two symbolic steps of the limit_l2 derivation in compute_g's
+    # docstring, from the bracket and the closed moments S0_q, S1_q
+    m, n, k = sympy.symbols("m n k", integer=True, positive=True)
+    big_n = m + n + 2
+    q = m - k
+    k1 = m**2 - 4 * m * n - n**2 - 7 * m - 3 * n - 2
+    k2 = n**2 - m * n - m + 2 * n + 1
+    k3 = 3 * m**2 + m**2 * n - n**3 - m * n - 4 * n**2 - 2 * m - 4 * n
+    s0 = -(n + 1)
+    s1 = -((n + 1) * (m + n) + n - q)
+    # per q: [(2(n-m)q^2 + k1 q + k3) S0_q + (2(n+1)q + k2) S1_q] / C(N, k)
+    per_q = sympy.Poly((2 * (n - m) * q**2 + k1 * q + k3) * s0 + (2 * (n + 1) * q + k2) * s1, k)
+    assert per_q.degree() == 2
+    a2 = per_q.coeff_monomial(k**2)
+    a1 = per_q.coeff_monomial(k) + a2
+    a0 = per_q.coeff_monomial(1)
+    assert sympy.expand(a0 - (n + 1) * big_n * (m**2 - m * n + 2 * m + n)) == 0
+    assert sympy.expand(a1 + (n + 1) * (3 * m**2 - 2 * m * n + 6 * m - n**2 + 2 * n + 1)) == 0
+    assert sympy.expand(a2 - 2 * (n + 1) * (m - n + 1)) == 0
+    assert sympy.expand(4 * a0 + 2 * big_n * a1 + big_n * (big_n - 1) * a2) == 0
+    C = sympy.binomial
+    boundary = a0 * (2 * C(big_n - 2, m - 1) + C(big_n - 1, m)) + a1 * big_n * C(big_n - 2, m - 1)
+    target = (m + n) * sympy.factorial(big_n) / (sympy.factorial(m) * sympy.factorial(n))
+    assert sympy.simplify(sympy.combsimp(boundary / target)) == 1
