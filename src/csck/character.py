@@ -23,10 +23,11 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import NamedTuple
 
-from .exact import InvariantViolation, binomial
-from .polynomials import Exponent3, MultiPoly3, UniPoly, _homogeneous_value, int_convolve_into, int_power_table
+from .exact import InvariantViolation
+from .polynomials import Exponent3, MultiPoly3, UniPoly, _homogeneous_value, _powers
 
 
 def _make_checked(cls, iterable):
@@ -133,7 +134,7 @@ def _g_terms(d: Dims) -> dict[Exponent3, int]:
     big_n = m + n + 2
     acc: dict[Exponent3, int] = {}
     for k in range(m + 1):
-        s0 = -(n + 1) * binomial(big_n, k)
+        s0 = -(n + 1) * comb(big_n, k)
         _add_shape(acc, s0, k, big_n - k, True)
         _add_shape(acc, -s0, k, big_n - k, False)
     return {e: v for e, v in acc.items() if v}
@@ -144,7 +145,7 @@ def _h_terms(d: Dims) -> dict[Exponent3, int]:
     big_n = m + n + 2
     acc: dict[Exponent3, int] = {}
     for k in range(m + 1):
-        c = (n + 1) * binomial(big_n, k)
+        c = (n + 1) * comb(big_n, k)
         _add_shape(acc, -(n + 1) * (big_n - k) * c, k, big_n - k - 1, True)
         _add_shape(acc, ((n + 1) * (m + n) - 2 * (m + 1) + (1 - n) * k) * c, k, big_n - k - 1, False)
         if k:
@@ -279,7 +280,7 @@ def alternating_power_sum(k: int, l: int) -> int:
     """
     if k < 0 or l < 0:
         raise ValueError("arguments must be non-negative")
-    return sum((-1) ** i * binomial(k, i) * (k - 2 * i) ** l for i in range(k + 1))
+    return sum((-1) ** i * comb(k, i) * (k - 2 * i) ** l for i in range(k + 1))
 
 
 _EPS_VALUES = (-1, 0, 1)
@@ -312,39 +313,86 @@ def localized_component_poly(d: Dims, fc: FixedComponent, eps: int, cls: KahlerC
     return UniPoly._make(_component_coeffs(d, fc, eps))
 
 
-@lru_cache(maxsize=None)
-def _component_weights(d: Dims) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """For s = 0..m+n: C(m+n+2, s) and the pairs (q, C(s, m-q) C(m+n-s, q) (-1)^q)
-    over the q range where that weight is nonzero, 0 <= s-m+q <= n.  They
-    depend on the dimensions alone, not on the component, class or eps."""
-    m, n = d.m, d.n
-    return tuple(
-        (
-            binomial(m + n + 2, s),
-            tuple(
-                (q, binomial(s, m - q) * binomial(m + n - s, q) * (-1) ** q)
-                for q in range(max(0, m - s), min(m, m + n - s) + 1)
-            ),
-        )
-        for s in range(m + n + 1)
-    )
+def _balanced_digits(value: int, shift: int, length: int) -> list[int]:
+    """The digits c_0..c_(length-1) in [-2^(shift-1), 2^(shift-1)) of
+    value = sum c_i 2^(shift i); :class:`InvariantViolation` if it needs more."""
+    mask, half = (1 << shift) - 1, 1 << (shift - 1)
+    digits = []
+    for _ in range(length):
+        digits.append((value & mask) - ((value & half) << 1))
+        value = (value - digits[-1]) >> shift
+    if value:
+        raise InvariantViolation(f"{length} digits of {shift} bits leave a remainder")
+    return digits
+
+
+def _forms(fc: FixedComponent, eps: int) -> tuple[tuple[int, int], ...]:
+    """(const, lin) of the forms kappa t - r eps, rho t - a eps, tau t - b eps."""
+    return (-fc.r * eps, fc.kappa), (-fc.a * eps, fc.rho), (-fc.b * eps, fc.tau)
+
+
+def _digit_shift(d: Dims, forms) -> int:
+    """A digit width B for reading a localized sum back from t = 2^B.
+
+    An (s, q) term is a product of N = m+n+2 of the forms, so the absolute
+    values of its coefficients sum to at most size^N, with size the largest
+    |const| + |lin|.  By Vandermonde over q the weights sum to 2^N C(m+n,m)
+    in absolute value, so one component's coefficients are at most
+    V = C(m+n,m) (2 size)^N, both components' at most 2V < 2^(B-1).
+    """
+    size = max(abs(c) + abs(l) for c, l in forms)
+    return (comb(d.m + d.n, d.m) * (2 * size) ** (d.m + d.n + 2)).bit_length() + 2
 
 
 def _component_coeffs(d: Dims, fc: FixedComponent, eps: int) -> list[int]:
-    """The integer coefficients of :func:`localized_component_poly`."""
+    """The integer coefficients of :func:`localized_component_poly`: its
+    value at t = 2^B (:func:`_digit_shift`) read back as balanced digits.
+
+    With N = m+n+2 and k, r, t the forms kappa t - r eps, rho t - a eps,
+    tau t - b eps, the double sum is delta times
+    sum_{j<=m} [(m-j+1) C(N,j) ((k+t)^(N-j) (r-k)^j - t^(N-j) r^j)
+                - N C(N-1,j) k t^(N-1-j) r^j].
+    (1) Coefficient extraction: the q-sum is [u^m] (r u + t)^s (1-u)^(m+n-s).
+    (2) The (1-u)^-2 rewrite: (1-u)^(m+n-s) = (1-u)^(N-s) (1-u)^-2, and
+    [u^m] f(u) (1-u)^-e = sum_{j<=m} w_j [u^j] f, w_j = m-j+1 for e = 2 and
+    1 for e = 1.  (3) The binomial theorem less the two top terms: over
+    s = 0..N, sum_s C(N,s) (k(1-u))^(N-s) (r u + t)^s = (k + t + (r-k) u)^N,
+    and s stops at m+n, so s = N, (r u + t)^N (1-u)^-2, and s = N-1,
+    N k (r u + t)^(N-1) (1-u)^-1, come off.  Each j-sum is one integer
+    Horner: O(m) products by the forms instead of O(mn) convolutions.
+    """
+    shift = _digit_shift(d, _forms(fc, eps))
+    return _balanced_digits(_component_value(d, fc, eps, 1 << shift), shift, d.m + d.n + 3)
+
+
+def _component_value(d: Dims, fc: FixedComponent, eps: int, x) -> int:
+    """The closed form of :func:`_component_coeffs` at t = x."""
     m, n = d.m, d.n
-    top = m + n + 2
-    pow_k = int_power_table(-fc.r * eps, fc.kappa, top)
-    pow_r = int_power_table(-fc.a * eps, fc.rho, m)
-    pow_t = int_power_table(-fc.b * eps, fc.tau, n)
-    acc = [0] * (top + 1)
-    for s, (outer, weights) in enumerate(_component_weights(d)):
-        # the q-sum, of degree s
-        inner = [0] * (s + 1)
-        for q, c in weights:
-            int_convolve_into(inner, c, pow_r[m - q], pow_t[s - m + q])
-        int_convolve_into(acc, outer * fc.delta, inner, pow_k[top - s])
-    return acc
+    k, r, t = (c + l * x for c, l in _forms(fc, eps))
+    w2 = [(m - j + 1) * comb(m + n + 2, j) for j in range(m + 1)]
+    w1 = [comb(m + n + 1, j) for j in range(m + 1)]
+    return fc.delta * (
+        (k + t) ** (n + 2) * _homogeneous_value(w2, r - k, k + t)
+        - t ** (n + 2) * _homogeneous_value(w2, r, t)
+        - (m + n + 2) * k * t ** (n + 1) * _homogeneous_value(w1, r, t)
+    )
+
+
+@lru_cache(maxsize=4)
+def _sum_form(d: Dims, cls: KahlerClass) -> tuple[int, ...]:
+    """c_0..c_N of both components' sum at eps = 1.  Its terms are products
+    of N = m+n+2 forms linear in (t, eps), so at eps it is sum_i c_i eps^(N-i) t^i."""
+    first, second = fixed_components(d, cls)
+    shift = _digit_shift(d, _forms(first, 1) + _forms(second, 1))
+    total = _component_value(d, first, 1, 1 << shift) + _component_value(d, second, 1, 1 << shift)
+    return tuple(_balanced_digits(total, shift, d.m + d.n + 3))
+
+
+def _sum_coeffs(d: Dims, eps: int, cls: KahlerClass) -> list[int]:
+    """The m + n + 3 integer coefficients of :func:`localized_sum_poly`."""
+    _check_eps(eps)
+    form = _sum_form(d, cls)
+    return [c * eps ** (len(form) - 1 - i) for i, c in enumerate(form)]
 
 
 def localized_sum_poly(d: Dims, eps: int, cls: KahlerClass) -> UniPoly:
@@ -354,41 +402,33 @@ def localized_sum_poly(d: Dims, eps: int, cls: KahlerClass) -> UniPoly:
     return UniPoly._make(_sum_coeffs(d, eps, cls))
 
 
-def _sum_coeffs(d: Dims, eps: int, cls: KahlerClass) -> list[int]:
-    """The integer coefficients of :func:`localized_sum_poly`; both
-    components' lists have length m + n + 3 and add termwise."""
-    first, second = fixed_components(d, cls)
-    _check_eps(eps)
-    return [u + v for u, v in zip(_component_coeffs(d, first, eps), _component_coeffs(d, second, eps))]
-
-
 def localized_sum_poly_direct(d: Dims, eps: int, cls: KahlerClass) -> UniPoly:
-    """The same sum by the fully specialized two-row formula: an independent
-    code path that must agree with :func:`localized_sum_poly` exactly."""
+    """The same sum by the fully specialized two-row (s, q) double sum at
+    t = 2^B, read back as balanced digits: an independent code path that
+    must agree with :func:`localized_sum_poly` exactly."""
     _check_eps(eps)
     if not cls.is_integral():
         raise ValueError(f"integral class required, got {cls}")
     lam, mu, nu = (int(v) for v in cls)
     m, n = d.m, d.n
     top = m + n + 2
-    pow1k = int_power_table(-eps, mu, top)
-    pow1r = int_power_table(-m * eps, lam - nu, m)
-    pow1t = int_power_table(-(n + 2) * eps, mu, n)
-    pow2k = int_power_table(-eps, -mu + nu, top)
-    pow2r = int_power_table(-(m + 2) * eps, lam, m)
-    pow2t = int_power_table(-n * eps, mu - nu, n)
-    acc = [0] * (top + 1)
+    rows = (
+        ((-eps, mu), (-m * eps, lam - nu), (-(n + 2) * eps, mu)),
+        ((-eps, nu - mu), (-(m + 2) * eps, lam), (-n * eps, mu - nu)),
+    )
+    shift = _digit_shift(d, rows[0] + rows[1])
+    (pow1k, pow1r, pow1t), (pow2k, pow2r, pow2t) = (
+        [_powers(c + (l << shift), e) for (c, l), e in zip(row, (top, m, n))] for row in rows
+    )
+    total = 0
     for s in range(m + n + 1):
-        inner1 = [0] * (s + 1)
-        inner2 = [0] * (s + 1)
+        inner1 = inner2 = 0
         for q in range(max(0, m - s), min(m, m + n - s) + 1):
-            c = binomial(s, m - q) * binomial(m + n - s, q) * (-1) ** q
-            int_convolve_into(inner1, c, pow1r[m - q], pow1t[s - m + q])
-            int_convolve_into(inner2, c, pow2r[m - q], pow2t[s - m + q])
-        c = binomial(m + n + 2, s)
-        int_convolve_into(acc, c * (-1) ** (m + n + s + 1), inner1, pow1k[top - s])
-        int_convolve_into(acc, c, inner2, pow2k[top - s])
-    return UniPoly._make(acc)
+            c = comb(s, m - q) * comb(m + n - s, q) * (-1) ** q
+            inner1 += c * pow1r[m - q] * pow1t[s - m + q]
+            inner2 += c * pow2r[m - q] * pow2t[s - m + q]
+        total += comb(top, s) * ((-1) ** (m + n + s + 1) * inner1 * pow1k[top - s] + inner2 * pow2k[top - s])
+    return UniPoly._make(_balanced_digits(total, shift, top + 1))
 
 
 def assemble_from_localization(d: Dims, cls: KahlerClass) -> Fraction:
@@ -399,21 +439,13 @@ def assemble_from_localization(d: Dims, cls: KahlerClass) -> Fraction:
     points m+n+1-2i and m+n+2-2i; only the top coefficients survive, which is
     what ties the localization route to the closed polynomial.
     """
-    lam, mu, nu = cls
+    s_minus, s_plus, s_zero = (_sum_coeffs(d, eps, cls) for eps in (-1, 1, 0))
+    lam, mu, nu = (int(v) for v in cls)
     m, n = d.m, d.n
     K = m + n
-    s_minus = _sum_coeffs(d, -1, cls)
-    s_plus = _sum_coeffs(d, +1, cls)
-    s_zero = _sum_coeffs(d, 0, cls)
     diff = [a - b for a, b in zip(s_minus, s_plus)]
-    first = sum(
-        ((-1) ** i * binomial(K + 1, i)) * _homogeneous_value(diff, K + 1 - 2 * i, 1)
-        for i in range(K + 2)
+    first = sum((-1) ** i * comb(K + 1, i) * _homogeneous_value(diff, K + 1 - 2 * i, 1) for i in range(K + 2))
+    second = sum((-1) ** i * comb(K + 2, i) * _homogeneous_value(s_zero, K + 2 - 2 * i, 1) for i in range(K + 3))
+    return Fraction(
+        (K + 2) * lam * mu * nu * first - (m * (m + 2) * mu * nu + n * (n + 2) * lam * nu + 2 * lam * mu) * second
     )
-    second = sum(
-        ((-1) ** i * binomial(K + 2, i)) * _homogeneous_value(s_zero, K + 2 - 2 * i, 1)
-        for i in range(K + 3)
-    )
-    return (K + 2) * lam * mu * nu * first - (
-        m * (m + 2) * mu * nu + n * (n + 2) * lam * nu + 2 * lam * mu
-    ) * second

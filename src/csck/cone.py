@@ -25,7 +25,7 @@ from typing import Iterator, NamedTuple
 
 from .character import Dims, KahlerClass, _make_checked, anticanonical_class, compute_obstruction
 from .exact import InvariantViolation, binomial, sign
-from .polynomials import MultiPoly3, RootInterval, UniPoly, _homogeneous_value, sturm_isolate
+from .polynomials import MultiPoly3, RootInterval, UniPoly, sturm_isolate
 
 REGION_INSIDE = "inside"
 REGION_BOUNDARY = "boundary"
@@ -398,18 +398,22 @@ def sample_face(d: Dims, resolution: int) -> Iterator[FaceSample]:
 def _face_rows(d: Dims, f: MultiPoly3, r: int) -> Iterator[FaceSample]:
     # F is homogeneous and R > 0, so F(i/R, j/R, k/R) has the sign of the
     # integer F(i, j, k); row i is den * F(i, t, R - i - t) for the positive
-    # den of F's integer form, taken at t = j by integer Horner.  The points
-    # share one coordinate table and skip FacePoint's Fraction check: on the
-    # lattice, x + y + z = 1 is the integer identity i + j + k = R.
+    # den of F's integer form, taken at t = j by plain integer Horner over the
+    # reversed row.  The points share one coordinate table and skip
+    # FacePoint's Fraction check: on the lattice, x + y + z = 1 is the
+    # integer identity i + j + k = R.
     coords = [Fraction(v, r) for v in range(r)]
     for i in range(1, r - 1):
-        row = f._face_row(i, r - i)
+        row = f._face_row(i, r - i)[::-1]
         for j in range(1, r - i):
             k = r - i - j
             if i + j + k != r:
                 raise InvariantViolation(f"face point ({i}, {j}, {k}) does not sum to {r}")
+            value = 0
+            for c in row:
+                value = value * j + c
             yield FaceSample(
                 tuple.__new__(FacePoint, (coords[i], coords[j], coords[k])),
-                sign(_homogeneous_value(row, j, 1)),
+                sign(value),
                 _region(d, i, j, k),
             )

@@ -288,16 +288,6 @@ def int_power_table(const: int, lin: int, top: int) -> list[list[int]]:
     return table
 
 
-def int_convolve_into(acc: list[int], scale: int, a: list[int], b: list[int]) -> None:
-    """acc += scale * a * b in place, for integer coefficient lists with
-    len(acc) >= len(a) + len(b) - 1."""
-    for i, ai in enumerate(a):
-        if ai:
-            f = scale * ai
-            for j, bj in enumerate(b):
-                acc[i + j] += f * bj
-
-
 def _add_scaled(acc: list[int], scale: int, row: list[int]) -> None:
     """acc += scale * row in place, lengthening acc when row is longer."""
     if len(acc) < len(row):

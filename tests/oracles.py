@@ -17,8 +17,9 @@ path against it term for term:
   every lattice point on its own;
 * :func:`reference_root_sum` evaluates Lambda_j in full at every root of
   unity, one inversion per (s, j, k), by :func:`reference_lambda_at_root`;
-* :func:`reference_component_coeffs` recomputes every binomial weight of a
-  localized component on each call;
+* :func:`reference_component_coeffs` builds a localized component as
+  integer coefficient lists, one :func:`int_convolve_into` per (s, q) and
+  per s, every binomial weight computed where it is used;
 * :func:`reference_limit_l1` and :func:`reference_limit_l2` sum the
   probe-line limits over every (s, q) of the double sum, with their own copy
   of its coefficient.
@@ -38,7 +39,7 @@ from csck.cone import (
 )
 from csck.exact import binomial
 from csck.localization import CycloElement
-from csck.polynomials import MultiPoly3, UniPoly, int_convolve_into, int_power_table
+from csck.polynomials import MultiPoly3, UniPoly, int_power_table
 
 
 def int_convolve(a: list[int], b: list[int]) -> list[int]:
@@ -50,6 +51,16 @@ def int_convolve(a: list[int], b: list[int]) -> list[int]:
                 if bj:
                     out[i + j] += ai * bj
     return out
+
+
+def int_convolve_into(acc: list[int], scale: int, a: list[int], b: list[int]) -> None:
+    """acc += scale * a * b in place, for integer coefficient lists with
+    len(acc) >= len(a) + len(b) - 1."""
+    for i, ai in enumerate(a):
+        if ai:
+            f = scale * ai
+            for j, bj in enumerate(b):
+                acc[i + j] += f * bj
 
 
 def double_sum_coeff(d: Dims, s: int, q: int) -> int:

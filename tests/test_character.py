@@ -11,6 +11,7 @@ from csck import character
 from csck.character import (
     Dims,
     KahlerClass,
+    _balanced_digits,
     _component_coeffs,
     alternating_power_sum,
     anticanonical_class,
@@ -24,7 +25,7 @@ from csck.character import (
     localized_sum_poly_direct,
     slope,
 )
-from csck.exact import binomial, factorial
+from csck.exact import InvariantViolation, binomial, factorial
 from csck.polynomials import MultiPoly3, UniPoly, int_power_table
 from oracles import (
     int_convolve,
@@ -324,7 +325,8 @@ class TestLocalizedSums:
                     assert localized_sum_poly(d, eps, cls) == localized_sum_poly_direct(d, eps, cls)
 
     def test_component_matches_per_call_binomials(self):
-        # the shared per-Dims weight table against weights made on every call
+        # the closed form read back from t = 2^B against the (s, q) double sum
+        # in coefficient lists, every binomial weight made where it is used
         for m in range(1, 9):
             for n in range(1, 9):
                 d = Dims(m, n)
@@ -345,6 +347,58 @@ class TestLocalizedSums:
         cls = KahlerClass(3, 4, 2)
         with pytest.raises(ValueError):
             localized_sum_poly(d, 2, cls)
+
+
+class TestKronecker:
+    def test_balanced_digits_round_trip(self):
+        rng = random.Random(2009)
+        for shift in (2, 3, 8, 61, 64, 200):
+            edge = 2 ** (shift - 1) - 1
+            for length in (1, 2, 5, 17):
+                for top in (0, -1, None, edge, -edge):
+                    digits = [rng.randint(-edge, edge) for _ in range(length)]
+                    if top is not None:
+                        digits[-1] = top
+                    digits[rng.randrange(length)] = rng.choice((edge, -edge))
+                    value = sum(c << (shift * i) for i, c in enumerate(digits))
+                    assert _balanced_digits(value, shift, length) == digits, (shift, length, top)
+
+    def test_balanced_digits_reject_a_remainder(self):
+        for shift, length in ((2, 1), (8, 3), (64, 5)):
+            # a value one digit too long, then top digits -3 * 2^(shift-2) and
+            # 2^(shift-1), each just outside the balanced range
+            with pytest.raises(InvariantViolation):
+                _balanced_digits(1 << (shift * length), shift, length)
+            with pytest.raises(InvariantViolation):
+                _balanced_digits(-(3 << (shift * (length - 1) + shift - 2)), shift, length)
+            with pytest.raises(InvariantViolation):
+                _balanced_digits(1 << (shift * (length - 1) + shift - 1), shift, length)
+
+    # coordinates +-10^6 and zeros: the largest forms in any bound, and
+    # the zero weights rho, tau and kappa
+    _EXTREME_CLASSES = (
+        KahlerClass(10**6, -(10**6), 10**6),
+        KahlerClass(-(10**6), 10**6, 0),
+        KahlerClass(0, 0, -(10**6)),
+        KahlerClass(10**6, 10**6, 10**6),
+        KahlerClass(0, 0, 0),
+    )
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_extreme_classes_match_oracles(self, m):
+        for n in range(1, 7):
+            d = Dims(m, n)
+            for cls in self._EXTREME_CLASSES:
+                for eps in (-1, 0, 1):
+                    for fc in fixed_components(d, cls):
+                        assert _component_coeffs(d, fc, eps) == reference_component_coeffs(d, fc, eps), (m, n, cls)
+                    assert localized_sum_poly_direct(d, eps, cls) == _unfactored_direct(d, eps, cls), (m, n, cls)
+
+    def test_far_pair_assembly_is_exact(self):
+        d = Dims(49, 51)
+        cls = KahlerClass(7, -3, 5)
+        scale = 2**102 * factorial(102)
+        assert assemble_from_localization(d, cls) == scale * compute_obstruction(d).F.evaluate(cls)
 
 
 class TestAssembly:

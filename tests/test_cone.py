@@ -152,6 +152,17 @@ class TestKeCheck:
         # for m = n the anticanonical class lies on the zero locus
         assert ke_check(Dims(1, 1)) == 0
 
+    def test_sign_is_sign_of_m_minus_n(self):
+        # F(c1) has the sign of m - n, is odd under (m, n) -> (n, m) and
+        # vanishes exactly on the diagonal: the scan CSV's F_at_c1 is -2304
+        # at (1, 2) and 2304 at (2, 1)
+        values = {(m, n): ke_check(Dims(m, n)) for m in range(1, 16) for n in range(1, 16)}
+        for (m, n), value in values.items():
+            assert (value > 0) - (value < 0) == (m > n) - (m < n), (m, n)
+            assert value == -values[n, m], (m, n)
+            assert (value == 0) == (m == n), (m, n)
+        assert values[2, 1] == 2304
+
 
 _SMALL_COORDS = st.fractions(min_value=-2, max_value=2, max_denominator=6)
 _SEGMENT_ENDS = st.builds(KahlerClass, _SMALL_COORDS, _SMALL_COORDS, _SMALL_COORDS)

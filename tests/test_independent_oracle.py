@@ -10,7 +10,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from csck.character import Dims, compute_obstruction
+from csck.character import Dims, FixedComponent, KahlerClass, _component_value, compute_obstruction
 
 X, Y, Z = sympy.symbols("x y z")
 
@@ -111,3 +111,22 @@ def test_limit_l2_proof_steps():
     boundary = a0 * (2 * C(big_n - 2, m - 1) + C(big_n - 1, m)) + a1 * big_n * C(big_n - 2, m - 1)
     target = (m + n) * sympy.factorial(big_n) / (sympy.factorial(m) * sympy.factorial(n))
     assert sympy.simplify(sympy.combsimp(boundary / target)) == 1
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_component_closed_form_identity(m):
+    # the closed form of _component_coeffs against the (s, q) double sum, in
+    # symbols k, r, t: a component with kappa = k, rho = r, tau = t and
+    # delta = 1 at eps = 0 and t = 1 makes the forms k, r and t themselves
+    k, r, t = sympy.symbols("k r t")
+    for n in range(1, 5):
+        d = Dims(m, n)
+        top = m + n + 2
+        fc = FixedComponent(1, 1, k, 1, 1, r, t, 1, d, KahlerClass(0, 0, 0))
+        double_sum = sum(
+            sympy.binomial(top, s) * sympy.binomial(s, m - q) * sympy.binomial(m + n - s, q) * (-1) ** q
+            * k ** (top - s) * r ** (m - q) * t ** (s - m + q)
+            for s in range(m + n + 1)
+            for q in range(max(0, m - s), min(m, m + n - s) + 1)
+        )
+        assert sympy.expand(_component_value(d, fc, 0, 1) - double_sum) == 0, (m, n)
