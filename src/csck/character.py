@@ -23,11 +23,12 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import NamedTuple
 
 from .exact import InvariantViolation
-from .polynomials import Exponent3, MultiPoly3, UniPoly, _homogeneous_value, _powers
+from .polynomials import Exponent3, MultiPoly3, UniPoly, _add_scaled, _homogeneous_value, _powers, _times_line_power
+from .polynomials import int_power_table
 
 
 def _make_checked(cls, iterable):
@@ -129,29 +130,38 @@ def _add_shape(acc: dict[Exponent3, int], scale: int, e_x: int, e_y: int, shift_
         c = -c * (top - i) // (i + 1)
 
 
-def _g_terms(d: Dims) -> dict[Exponent3, int]:
+@lru_cache(maxsize=16)
+def _shape_weights(d: Dims) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """((gu, hu), (gx, hx)): with U = x - z, X = x, Y = y, V = y - z and
+    N = m + n + 2, g = sum_k gu_k U^k Y^(N-k) + gx_k X^k V^(N-k) and
+    h = sum_j hu_j U^j Y^(N-1-j) + hx_j X^j V^(N-1-j) over j, k = 0..m.
+    With c_j = (n+1) C(N,j) and c_(m+1) = 0, gx = -gu = c and the four
+    scales of :func:`compute_h`, regrouped by the power j of U or X, give
+    hu_j = -(n+1)(N-j) c_j - m(j+1) c_(j+1) and
+    hx_j = ((n+1)(m+n) - 2(m+1) + (1-n) j) c_j + (m+2)(j+1) c_(j+1)."""
     m, n = d.m, d.n
-    big_n = m + n + 2
+    c = [(n + 1) * comb(m + n + 2, j) for j in range(m + 1)] + [0]
+    hu = [-(n + 1) * (m + n + 2 - j) * c[j] - m * (j + 1) * c[j + 1] for j in range(m + 1)]
+    hx = [((n + 1) * (m + n) - 2 * (m + 1) + (1 - n) * j) * c[j] + (m + 2) * (j + 1) * c[j + 1] for j in range(m + 1)]
+    return (tuple(-w for w in c[:-1]), tuple(hu)), (tuple(c[:-1]), tuple(hx))
+
+
+def _shape_terms(d: Dims, which: int) -> dict[Exponent3, int]:
+    """g (which = 0) or h (which = 1) expanded from :func:`_shape_weights`."""
+    degree = d.m + d.n + 2 - which
     acc: dict[Exponent3, int] = {}
-    for k in range(m + 1):
-        s0 = -(n + 1) * comb(big_n, k)
-        _add_shape(acc, s0, k, big_n - k, True)
-        _add_shape(acc, -s0, k, big_n - k, False)
+    for shift_x, weights in zip((True, False), _shape_weights(d)):
+        for j, w in enumerate(weights[which]):
+            _add_shape(acc, w, j, degree - j, shift_x)
     return {e: v for e, v in acc.items() if v}
+
+
+def _g_terms(d: Dims) -> dict[Exponent3, int]:
+    return _shape_terms(d, 0)
 
 
 def _h_terms(d: Dims) -> dict[Exponent3, int]:
-    m, n = d.m, d.n
-    big_n = m + n + 2
-    acc: dict[Exponent3, int] = {}
-    for k in range(m + 1):
-        c = (n + 1) * comb(big_n, k)
-        _add_shape(acc, -(n + 1) * (big_n - k) * c, k, big_n - k - 1, True)
-        _add_shape(acc, ((n + 1) * (m + n) - 2 * (m + 1) + (1 - n) * k) * c, k, big_n - k - 1, False)
-        if k:
-            _add_shape(acc, -m * k * c, k - 1, big_n - k, True)
-            _add_shape(acc, (m + 2) * k * c, k - 1, big_n - k, False)
-    return {e: v for e, v in acc.items() if v}
+    return _shape_terms(d, 1)
 
 
 def compute_g(d: Dims) -> MultiPoly3:
@@ -245,14 +255,72 @@ def compute_obstruction(d: Dims) -> CharacterPolys:
     return CharacterPolys(dims=d, g=g, h=h, F=F)
 
 
+def _prefactor(d: Dims, x, y, z):
+    """m(m+2) yz + n(n+2) xz + 2 xy, the factor of -g in F."""
+    return d.m * (d.m + 2) * y * z + d.n * (d.n + 2) * x * z + 2 * x * y
+
+
+def _integral(coords) -> tuple[int, list[int]]:
+    """(L, L * coords) for the least L > 0 that makes every coordinate an integer."""
+    coords = [Fraction(v) for v in coords]
+    scale = lcm(*(c.denominator for c in coords))
+    return scale, [c.numerator * (scale // c.denominator) for c in coords]
+
+
+def obstruction_at(d: Dims, point) -> Fraction:
+    """F at a rational point from the shape form, in O(m) products: at the
+    point times its denominator L, over L^(m+n+4),
+
+        F = sum over (a, b) = (U, Y), (X, V) of b^(n+1) (xyz H - Q b G),
+
+    with Q = :func:`_prefactor`, G = sum_k g_k a^k b^(m-k) and H likewise
+    (:func:`_shape_weights`)."""
+    scale, (x, y, z) = _integral(point)
+    total = 0
+    for (a, b), (wg, wh) in zip(((x - z, y), (x, y - z)), _shape_weights(d)):
+        inner = x * y * z * _homogeneous_value(wh, a, b) - _prefactor(d, x, y, z) * b * _homogeneous_value(wg, a, b)
+        total += b ** (d.n + 1) * inner
+    return Fraction(total, scale ** (d.m + d.n + 4))
+
+
+def obstruction_on_line(d: Dims, start, end) -> UniPoly:
+    """t -> F((1 - t) start + t end) from the shape form of :func:`obstruction_at`.
+
+    Over the shared denominator L of the ends, x, y, z, U and V are integer
+    lines in t.  Each G or H is a homogeneous Horner in its first line over
+    the power table of its second.  The result is those integers over
+    L^(m+n+4).
+    """
+    scale, coords = _integral((*start, *end))
+    (x0, y0, z0), (x1, y1, z1) = p0, p1 = coords[:3], [b - a for a, b in zip(coords[:3], coords[3:])]
+    if not any(p1):
+        raise ValueError("coincident line endpoints")
+    # the quadratic prefactor along the line: Q(p0) + B t + Q(p1) t^2, with
+    # its polar term B = Q(p0 + p1) - Q(p0) - Q(p1)
+    m, q0, q2 = d.m, _prefactor(d, *p0), _prefactor(d, *p1)
+    q = [q0, _prefactor(d, x0 + x1, y0 + y1, z0 + z1) - q0 - q2, q2]
+    xyz = _times_line_power(_times_line_power([x0, x1], y0, y1, 1), z0, z1, 1)
+    forms, total = (((x0 - z0, x1 - z1), (y0, y1)), ((x0, x1), (y0 - z0, y1 - z1))), []
+    for ((a0, a1), b), (wg, wh) in zip(forms, _shape_weights(d)):
+        bpow, g, h = int_power_table(*b, m), [wg[m]], [wh[m]]
+        for k in range(m - 1, -1, -1):
+            g = [a0 * u + a1 * v + wg[k] * c for u, v, c in zip(g + [0], [0] + g, bpow[m - k])]
+            h = [a0 * u + a1 * v + wh[k] * c for u, v, c in zip(h + [0], [0] + h, bpow[m - k])]
+        inner = [0] * (m + 4)
+        for i, (c_h, c_g) in enumerate(zip(xyz, _times_line_power(q, *b, 1))):
+            for k, (f_g, f_h) in enumerate(zip(g, h)):
+                inner[i + k] += c_h * f_h - c_g * f_g
+        _add_scaled(total, 1, _times_line_power(inner, *b, d.n + 1))
+    return UniPoly._make(total, scale ** (m + d.n + 4))
+
+
 def slope(d: Dims, c: KahlerClass) -> Fraction:
     """The slope mu of a class with nonzero coordinates:
     (m(m+2) yz + n(n+2) xz + 2 xy) / ((m+n+1) xyz)."""
     x, y, z = c
     if x * y * z == 0:
         raise ValueError(f"slope undefined: class {c} has a zero coordinate")
-    m, n = d.m, d.n
-    return (m * (m + 2) * y * z + n * (n + 2) * x * z + 2 * x * y) / ((m + n + 1) * x * y * z)
+    return _prefactor(d, x, y, z) / ((d.m + d.n + 1) * x * y * z)
 
 
 def anticanonical_class(d: Dims) -> KahlerClass:
@@ -402,6 +470,18 @@ def localized_sum_poly(d: Dims, eps: int, cls: KahlerClass) -> UniPoly:
     return UniPoly._make(_sum_coeffs(d, eps, cls))
 
 
+@lru_cache(maxsize=4)
+def _direct_weights(d: Dims) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """C(N, s) and the (q, C(s, m-q) C(m+n-s, q) (-1)^q) for each s of
+    :func:`localized_sum_poly_direct`, shared by every eps and class."""
+    m, n = d.m, d.n
+    rows = []
+    for s in range(m + n + 1):
+        qs = range(max(0, m - s), min(m, m + n - s) + 1)
+        rows.append((comb(m + n + 2, s), tuple((q, comb(s, m - q) * comb(m + n - s, q) * (-1) ** q) for q in qs)))
+    return tuple(rows)
+
+
 def localized_sum_poly_direct(d: Dims, eps: int, cls: KahlerClass) -> UniPoly:
     """The same sum by the fully specialized two-row (s, q) double sum at
     t = 2^B, read back as balanced digits: an independent code path that
@@ -421,13 +501,12 @@ def localized_sum_poly_direct(d: Dims, eps: int, cls: KahlerClass) -> UniPoly:
         [_powers(c + (l << shift), e) for (c, l), e in zip(row, (top, m, n))] for row in rows
     )
     total = 0
-    for s in range(m + n + 1):
+    for s, (c_s, weights) in enumerate(_direct_weights(d)):
         inner1 = inner2 = 0
-        for q in range(max(0, m - s), min(m, m + n - s) + 1):
-            c = comb(s, m - q) * comb(m + n - s, q) * (-1) ** q
+        for q, c in weights:
             inner1 += c * pow1r[m - q] * pow1t[s - m + q]
             inner2 += c * pow2r[m - q] * pow2t[s - m + q]
-        total += comb(top, s) * ((-1) ** (m + n + s + 1) * inner1 * pow1k[top - s] + inner2 * pow2k[top - s])
+        total += c_s * ((-1) ** (m + n + s + 1) * inner1 * pow1k[top - s] + inner2 * pow2k[top - s])
     return UniPoly._make(_balanced_digits(total, shift, top + 1))
 
 
@@ -441,11 +520,8 @@ def assemble_from_localization(d: Dims, cls: KahlerClass) -> Fraction:
     """
     s_minus, s_plus, s_zero = (_sum_coeffs(d, eps, cls) for eps in (-1, 1, 0))
     lam, mu, nu = (int(v) for v in cls)
-    m, n = d.m, d.n
-    K = m + n
+    K = d.m + d.n
     diff = [a - b for a, b in zip(s_minus, s_plus)]
     first = sum((-1) ** i * comb(K + 1, i) * _homogeneous_value(diff, K + 1 - 2 * i, 1) for i in range(K + 2))
     second = sum((-1) ** i * comb(K + 2, i) * _homogeneous_value(s_zero, K + 2 - 2 * i, 1) for i in range(K + 3))
-    return Fraction(
-        (K + 2) * lam * mu * nu * first - (m * (m + 2) * mu * nu + n * (n + 2) * lam * nu + 2 * lam * mu) * second
-    )
+    return Fraction((K + 2) * lam * mu * nu * first - _prefactor(d, lam, mu, nu) * second)

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import __version__, cone
-from .character import Dims, InvariantViolation, KahlerClass, compute_obstruction, slope
+from .character import Dims, InvariantViolation, KahlerClass, compute_obstruction, obstruction_at, slope
 from .cone import DEFAULT_WIDTH, SIGN_NAMES
 from .exact import parse_rational, sign
 
@@ -237,7 +237,7 @@ def _cmd_character(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     d = _dims(args)
     cls = _parse_class(args.cls)
-    value = compute_obstruction(d).F.evaluate(cls)
+    value = obstruction_at(d, cls)
     mu = slope(d, cls) if cls.x * cls.y * cls.z != 0 else None
     region = cone.in_kahler_triangle(d, cls)
     if value != 0:
@@ -352,14 +352,13 @@ def _cmd_sample_face(args: argparse.Namespace) -> int:
     if args.format == "json":
         body = {"samples": ({**s.to_json(), **_approx(args, point=(s.point.x, s.point.y, s.point.z))} for s in samples)}
     elif args.format == "csv":
-        header = ("x", "y", "z", "sign", "region") + (("x_approx", "y_approx", "z_approx") if args.approx else ())
-        rows = (
-            {"x": s.point.x, "y": s.point.y, "z": s.point.z, "sign": SIGN_NAMES[s.sign], "region": s.region}
-            for s in samples
+        # the cells of _csv, formatted per line: the coordinates are Fractions in [0, 1]
+        approx = ",x_approx,y_approx,z_approx" if args.approx else ""
+        lines = (
+            f"{x},{y},{z},{SIGN_NAMES[s]},{region}" + (f",{float(x)!r},{float(y)!r},{float(z)!r}" if approx else "")
+            for (x, y, z), s, region in samples
         )
-        if args.approx:
-            rows = ({**row, **_approx(args, x=row["x"], y=row["y"], z=row["z"])} for row in rows)
-        body = _csv(header, rows)
+        body = chain(["x,y,z,sign,region" + approx], lines)
     else:
         body = (
             f"({s.point.x}, {s.point.y}, {s.point.z}) sign={SIGN_NAMES[s.sign]} region={s.region}" for s in samples

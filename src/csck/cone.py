@@ -21,11 +21,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, NamedTuple
 
-from .character import Dims, KahlerClass, _make_checked, anticanonical_class, compute_obstruction
+from .character import Dims, KahlerClass, _integral, _make_checked, anticanonical_class, compute_obstruction
+from .character import obstruction_at, obstruction_on_line
 from .exact import InvariantViolation, binomial, sign
-from .polynomials import MultiPoly3, RootInterval, UniPoly, sturm_isolate
+from .polynomials import MultiPoly3, RootInterval, UniPoly, _exact_quotient, sturm_isolate
 
 REGION_INSIDE = "inside"
 REGION_BOUNDARY = "boundary"
@@ -44,7 +46,8 @@ MIN_WIDTH = Fraction(1, 2**2048)
 # still 124,251 points, each a line of output
 MAX_RESOLUTION = 500
 
-# The largest m or n a command accepts; F is built whole, of degree m + n + 4.
+# The largest m or n a command accepts; character and sample-face build F
+# whole, of degree m + n + 4.
 MAX_DIM = 100
 
 # The most scan worker processes; a process pool starts every worker at once.
@@ -129,18 +132,19 @@ def limit_l2(d: Dims) -> Fraction:
 
 
 def restrict_f_to_line(d: Dims, start, end) -> UniPoly:
-    return compute_obstruction(d).F.restrict_to_line(start, end)
+    """t -> F((1 - t) start + t end), from the shape form of F."""
+    return obstruction_on_line(d, start, end)
 
 
 def sign_at(d: Dims, c: KahlerClass) -> int:
     """Exact sign (-1, 0, +1) of the obstruction polynomial at a class."""
-    return sign(compute_obstruction(d).F.evaluate(c))
+    return sign(obstruction_at(d, c))
 
 
 def ke_check(d: Dims) -> Fraction:
     """F on the anticanonical class; zero would be the necessary condition
     for a Kahler-Einstein metric."""
-    return compute_obstruction(d).F.evaluate(anticanonical_class(d))
+    return obstruction_at(d, anticanonical_class(d))
 
 
 class IsolatedRoot(NamedTuple):
@@ -187,11 +191,7 @@ def _check_width(width: Fraction | int) -> None:
 
 
 def _point_on_segment(start: KahlerClass, end: KahlerClass, t: Fraction) -> KahlerClass:
-    return KahlerClass(
-        start.x + t * (end.x - start.x),
-        start.y + t * (end.y - start.y),
-        start.z + t * (end.z - start.z),
-    )
+    return KahlerClass(*(s + t * (e - s) for s, e in zip(start, end)))
 
 
 def isolate_on_segment(
@@ -200,42 +200,52 @@ def isolate_on_segment(
     end: KahlerClass,
     width: Fraction | int = DEFAULT_WIDTH,
 ) -> SegmentReport:
-    """Isolate the zero classes of F on the open segment t in (0, 1).
+    """Isolate the zero classes of F on the half-open segment t in (0, 1].
 
     Each root interval is reported with its midpoint class and a flag telling
     whether the whole corresponding sub-segment lies in the certified Kahler
     triangle (by convexity, true exactly when both interval endpoints map
-    inside).  Differing endpoint signs force at least one interval.  A width
-    below :data:`MIN_WIDTH` is refused before any work.
+    inside).  A zero at t = 1 gets a small interval straddling it, which may
+    reach past the segment's end.  Differing endpoint signs force at least
+    one interval.  A width below :data:`MIN_WIDTH` is refused before any work.
+
+    z^2 divides F (pinned by ``test_f_is_z_squared_times_an_irreducible``), so
+    when z has one strict sign on every t the isolation probes, the
+    restriction is divided exactly by the primitive z(t)^2 first; a remainder
+    raises :class:`InvariantViolation`.  The quotient has the same roots and
+    signs there, so the intervals are the same.  The probes stay in [0, 1],
+    and reach up to t = 3/2 only around a zero at t = 1.
     """
     if start == end:
         raise ValueError("segment endpoints coincide")
     _check_width(width)
     restricted = restrict_f_to_line(d, start, end)
-    result = sturm_isolate(restricted, Fraction(0), Fraction(1), width)
     # the restriction is exact, so its values at t = 0 and 1 are F at the ends
     sign_start = sign(restricted.evaluate(0))
     sign_end = sign(restricted.evaluate(1))
-    roots = []
-    for interval in result.intervals:
-        mid_class = _point_on_segment(start, end, interval.midpoint())
-        lo_inside = in_kahler_triangle(d, _point_on_segment(start, end, interval.lo)) == REGION_INSIDE
-        hi_inside = in_kahler_triangle(d, _point_on_segment(start, end, interval.hi)) == REGION_INSIDE
-        roots.append(IsolatedRoot(interval, mid_class, lo_inside and hi_inside))
-    report = SegmentReport(
-        dims=d,
-        start=start,
-        end=end,
-        sign_start=sign_start,
-        sign_end=sign_end,
-        identically_zero=result.identically_zero,
-        roots=tuple(roots),
+    _, coords = _integral((*start, *end))
+    points = list(zip(coords[:3], coords[3:]))
+    z0, z1 = points[2]
+    if z0 != z1 and z0 * z1 > 0 and (sign_end or z0 * (3 * z1 - z0) > 0) and not restricted.is_zero():
+        c0, c1 = (v // gcd(z0, z1 - z0) for v in (z0, z1 - z0))
+        quotient = _exact_quotient(list(restricted.nums), [c0 * c0, 2 * c0 * c1, c1 * c1])
+        if quotient is None:
+            raise InvariantViolation(f"z(t)^2 does not divide F on the segment from {start} to {end} for {d}")
+        restricted = UniPoly._make(quotient, restricted.den)
+    result = sturm_isolate(restricted, Fraction(0), Fraction(1), width)
+
+    def inside(t: Fraction) -> bool:
+        # the line point times its positive denominator, in integers
+        a, b = t.numerator, t.denominator
+        return _region(d, *((b - a) * p + a * q for p, q in points)) == REGION_INSIDE
+
+    roots = tuple(
+        IsolatedRoot(iv, _point_on_segment(start, end, iv.midpoint()), inside(iv.lo) and inside(iv.hi))
+        for iv in result.intervals
     )
-    if sign_start * sign_end < 0 and not report.roots:
-        raise InvariantViolation(
-            "endpoint signs differ but no root interval was isolated"
-        )
-    return report
+    if sign_start * sign_end < 0 and not roots:
+        raise InvariantViolation("endpoint signs differ but no root interval was isolated")
+    return SegmentReport(d, start, end, sign_start, sign_end, result.identically_zero, roots)
 
 
 class ScanRow(NamedTuple):
@@ -277,11 +287,12 @@ _WITNESS_HALVINGS = 20
 
 
 def _search_signed_point(d: Dims, start: KahlerClass, end: KahlerClass, wanted: int) -> KahlerClass | None:
-    # walk t = 1/8, 1/16, ... toward the segment start
+    # walk t = 1/8, 1/16, ... toward the segment start; F is homogeneous, so
+    # each probe is the point at t = 1/2^k times 2^k L > 0, in integers
+    _, coords = _integral((*start, *end))
     for k in range(3, 3 + _WITNESS_HALVINGS):
-        point = _point_on_segment(start, end, Fraction(1, 2**k))
-        if sign_at(d, point) == wanted:
-            return point
+        if sign_at(d, KahlerClass(*((2**k - 1) * a + b for a, b in zip(coords[:3], coords[3:])))) == wanted:
+            return _point_on_segment(start, end, Fraction(1, 2**k))
     return None
 
 

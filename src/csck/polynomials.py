@@ -14,7 +14,9 @@ program runs:
   degree, exact on every retained coefficient; they multiply and subtract.
 
 Real roots of a ``UniPoly`` are isolated on its square-free part by dyadic
-bisection with Descartes' rule of signs.  The gcd behind the square-free part
+bisection with Descartes' rule of signs; a Descartes bound of 0 or 1 on the
+whole range already proves every root there simple, and then the
+polynomial is bisected as it stands.  The gcd behind the square-free part
 is a heuristic candidate that is proved by exact division and by a degree
 bound modulo a prime; the integer primitive remainder sequence is its
 fallback, and also builds the Sturm chains that check the isolation
@@ -765,6 +767,14 @@ def _descartes_bound(coeffs: list[int], a: Fraction, b: Fraction) -> int:
     return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
 
+def _simple_roots_bound(coeffs: list[int], lo: Fraction, hi: Fraction) -> int | None:
+    """Descartes' bound of coeffs on (lo, hi) when it is 0 or 1 and coeffs is
+    nonzero at lo and hi, so that every root in [lo, hi] is simple; else None."""
+    ends = all(_sign_at_rational(coeffs, v.numerator, v.denominator) for v in (lo, hi))
+    bound = _descartes_bound(coeffs, lo, hi) if ends else 2
+    return bound if bound <= 1 else None
+
+
 def sturm_isolate(
     p: UniPoly,
     lo: Fraction | int,
@@ -784,7 +794,10 @@ def sturm_isolate(
     settled exactly by bisecting inside the cell, so every decision uses the
     true count, the one a Sturm chain would give.  Once a cell holds exactly
     one root and q is nonzero at its left end, the descent follows the sign
-    of q at each midpoint and counts nothing more.
+    of q at each midpoint and counts nothing more.  When p is nonzero at lo
+    and hi and its bound on (lo, hi) is 0 or 1, that bound counts the roots
+    with multiplicity, so p has no repeated root there and is q itself on
+    [lo, hi] up to a factor of constant sign (:func:`_simple_roots_bound`).
     """
     lo = Fraction(lo)
     hi = Fraction(hi)
@@ -796,11 +809,11 @@ def sturm_isolate(
     if p.is_zero():
         return IsolationResult(identically_zero=True)
 
-    q = square_free_part(p)
-    if q.degree == 0:
-        return IsolationResult(identically_zero=False, intervals=())
-    q_int = _primitive_positive(q).nums
-    bound_cache: dict[tuple[Fraction, Fraction], int] = {}
+    q_int = _primitive_positive(p).nums
+    bound = _simple_roots_bound(q_int, lo, hi)
+    if bound is None:
+        q_int = _primitive_positive(square_free_part(p)).nums
+    bound_cache: dict[tuple[Fraction, Fraction], int] = {} if bound is None else {(lo, hi): bound}
 
     def q_sign(at: Fraction) -> int:
         return _sign_at_rational(q_int, at.numerator, at.denominator)
@@ -847,19 +860,24 @@ def sturm_isolate(
             rad /= 2
 
     def descend(a: Fraction, b: Fraction, sa: int, sb: int) -> None:
-        # (a, b] holds exactly one root, which is simple, and q(a) != 0
-        while b - a > width:
-            mid = (a + b) / 2
-            sm = q_sign(mid)
+        # (a, b] holds exactly one root, which is simple, and q(a) != 0; the
+        # cells are (A/D, B/D) with one denominator D that doubles per halving
+        den = lcm(a.denominator, b.denominator)
+        num_a, num_b = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+        while (num_b - num_a) * width.denominator > width.numerator * den:
+            num_a, num_b, den = 2 * num_a, 2 * num_b, 2 * den
+            mid = (num_a + num_b) >> 1
+            sm = _sign_at_rational(q_int, mid, den)
             if sm == 0:
                 # the root is mid; the straddling interval stays inside (a, b)
-                rad = min(width, b - mid) / 2
-                emit(mid - rad, mid + rad)
+                rad = min(width, Fraction(num_b - mid, den)) / 2
+                emit(Fraction(mid, den) - rad, Fraction(mid, den) + rad)
                 return
             if sm != sa:
-                b, sb = mid, sm
+                num_b, sb = mid, sm
             else:
-                a, sa = mid, sm
+                num_a, sa = mid, sm
+        a, b = Fraction(num_a, den), Fraction(num_b, den)
         if sb == 0:
             # the root is b itself
             emit_around(b, a, b + (b - a))

@@ -30,6 +30,7 @@ from .character import (
     localized_component_poly,
     localized_sum_poly,
     localized_sum_poly_direct,
+    obstruction_at,
     slope,
 )
 from .exact import factorial
@@ -95,9 +96,14 @@ def check_limit_signs() -> CheckResult:
 
 
 def check_ke_nonvanishing() -> CheckResult:
-    """F(m+2, n+2, 2) != 0 for all 45 pairs."""
+    """F(m+2, n+2, 2) != 0 for all 45 pairs, the shape-form value equal to
+    the expanded F's."""
     start = time.perf_counter()
-    bad = [(m, n) for m, n in _backed_pairs() if cone.ke_check(Dims(m, n)) == 0]
+    values = {(m, n): cone.ke_check(Dims(m, n)) for m, n in _backed_pairs()}
+    bad = [(m, n) for (m, n), value in values.items() if value == 0]
+    for (m, n), value in values.items():
+        if value != compute_obstruction(Dims(m, n)).F.evaluate(anticanonical_class(Dims(m, n))):
+            bad.append((m, n, "shape form"))
     return _result("anticanonical_nonvanishing_45_pairs", start, bad, "45 pairs: F(c1) != 0")
 
 
@@ -187,21 +193,25 @@ def check_alternating_power_sum_table() -> CheckResult:
 def check_vanishing_orders() -> CheckResult:
     """Along l1 the obstruction vanishes to order exactly n+3 and its
     normalized leading coefficient is limit_l1; along l2 order exactly 2 with
-    leading coefficient limit_l2.  All 45 pairs."""
+    leading coefficient limit_l2.  Both shape-form restrictions equal the
+    expanded F's.  All 45 pairs."""
     start = time.perf_counter()
     bad = []
     for m, n in _backed_pairs():
         d = Dims(m, n)
         a = (Fraction(1), Fraction(0), Fraction(0))
         c = cone.vertex_c(d)
-        f_l1 = cone.restrict_f_to_line(d, a, (c.x, c.y, c.z))
+        lines = ((a, (c.x, c.y, c.z)), ((Fraction(1, 2), Fraction(1, 2), Fraction(0)), (0, 0, 1)))
+        f_l1, f_l2 = (cone.restrict_f_to_line(d, *ends) for ends in lines)
+        for name, f, ends in zip(("shape l1", "shape l2"), (f_l1, f_l2), lines):
+            if f != compute_obstruction(d).F.restrict_to_line(*ends):
+                bad.append((m, n, name))
         if f_l1.order() != n + 3:
             bad.append((m, n, "ord l1", f_l1.order()))
             continue
         normalized = f_l1.coefficient(n + 3) * Fraction(m + n + 6, n + 2) ** (n + 3)
         if normalized != cone.limit_l1(d):
             bad.append((m, n, "lead l1"))
-        f_l2 = cone.restrict_f_to_line(d, (Fraction(1, 2), Fraction(1, 2), Fraction(0)), (0, 0, 1))
         if f_l2.order() != 2:
             bad.append((m, n, "ord l2", f_l2.order()))
         elif f_l2.coefficient(2) != cone.limit_l2(d):
@@ -242,8 +252,9 @@ def check_root_isolation() -> CheckResult:
 
 
 def check_structural_properties() -> CheckResult:
-    """Integrality and homogeneity of F for all m, n <= 10; F(x, y, 0) = 0;
-    slope 1 on the anticanonical class for 10 random dims."""
+    """Integrality and homogeneity of F for all m, n <= 10, with the
+    shape-form value equal to the expanded F's at the random points;
+    F(x, y, 0) = 0; slope 1 on the anticanonical class for 10 random dims."""
     start = time.perf_counter()
     rng = random.Random(SAMPLE_SEED)
     bad = []
@@ -253,13 +264,16 @@ def check_structural_properties() -> CheckResult:
             polys = compute_obstruction(d)  # integrality + homogeneity enforced inside
             if polys.F.total_degree() != m + n + 4:
                 bad.append((m, n, "degree"))
-            if any(e[2] == 0 for e, _ in polys.F.terms()):
+            if any(e[2] == 0 for e in polys.F._terms):
                 bad.append((m, n, "F(x,y,0) != 0"))
             for _ in range(5):
                 point = KahlerClass(*(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)))
                 c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-                if polys.F.evaluate(point.scaled(c)) != c ** (m + n + 4) * polys.F.evaluate(point):
+                value = polys.F.evaluate(point)
+                if polys.F.evaluate(point.scaled(c)) != c ** (m + n + 4) * value:
                     bad.append((m, n, "homogeneity"))
+                if obstruction_at(d, point) != value:
+                    bad.append((m, n, "shape form"))
     for _ in range(10):
         d = Dims(rng.randint(1, 10), rng.randint(1, 10))
         if slope(d, anticanonical_class(d)) != 1:

@@ -6,6 +6,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from csck import character
 from csck.character import (
@@ -23,6 +26,8 @@ from csck.character import (
     localized_component_poly,
     localized_sum_poly,
     localized_sum_poly_direct,
+    obstruction_at,
+    obstruction_on_line,
     slope,
 )
 from csck.exact import InvariantViolation, binomial, factorial
@@ -146,6 +151,72 @@ class TestBuildAgainstReference:
         assert type(F.coefficient((0, 0, 0))) is Fraction
 
 
+_SHAPE_COORDS = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+_SHAPE_POINTS = st.tuples(_SHAPE_COORDS, _SHAPE_COORDS, _SHAPE_COORDS)
+
+
+@st.composite
+def shape_segments(draw, top=12):
+    """(d, start, end) with m, n <= top, m >= n included: a free segment, one
+    with z constant, one in the plane z = 0 (where F vanishes) or one along
+    the ray of c1 at m = n (where F vanishes too)."""
+    d = Dims(draw(st.integers(1, top)), draw(st.integers(1, top)))
+    start, end = draw(_SHAPE_POINTS), draw(_SHAPE_POINTS)
+    kind = draw(st.sampled_from(("free", "z-constant", "z-plane", "c1-ray")))
+    if kind == "z-constant":
+        end = (end[0], end[1], start[2])
+    elif kind == "z-plane":
+        start, end = (start[0], start[1], 0), (end[0], end[1], 0)
+    elif kind == "c1-ray":
+        d = Dims(d.m, d.m)
+        scales = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=5)
+        start, end = (anticanonical_class(d).scaled(draw(scales)) for _ in range(2))
+    assume(tuple(start) != tuple(end))
+    return d, start, end
+
+
+class TestShapeForm:
+    """The shape-form restriction and point value against the expanded F."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(shape_segments())
+    @example((Dims(3, 1), (1, 2, Fraction(1, 3)), (2, -1, Fraction(1, 3))))  # z constant
+    @example((Dims(2, 2), (4, 4, 2), (8, 8, 4)))  # along the ray of c1, where F vanishes at m = n
+    @example((Dims(1, 2), (1, 0, 0), (0, 1, 0)))  # AB, in the plane z = 0
+    def test_restriction_and_value_match_expanded_f(self, segment):
+        d, start, end = segment
+        F = compute_obstruction(d).F
+        assert obstruction_on_line(d, start, end) == F.restrict_to_line(start, end)
+        for point in (start, end):
+            assert obstruction_at(d, point) == F.evaluate(point)
+
+    def test_far_pair_value_and_restriction(self):
+        d = Dims(29, 31)
+        start, end = (Fraction(7, 16), Fraction(7, 16), Fraction(1, 8)), (Fraction(1, 3), Fraction(4, 9), Fraction(2, 9))
+        F = compute_obstruction(d).F
+        assert obstruction_on_line(d, start, end) == F.restrict_to_line(start, end)
+        assert obstruction_at(d, anticanonical_class(d)) == F.evaluate(anticanonical_class(d))
+
+    def test_coincident_ends_rejected(self):
+        with pytest.raises(ValueError, match="coincident"):
+            obstruction_on_line(Dims(1, 2), (1, 2, 3), (1, 2, 3))
+
+
+def test_f_is_z_squared_times_an_irreducible():
+    # F = c z^2 F~ with F~ irreducible over Q of degree m + n + 2, for every
+    # m + n <= 8: z^2 is the one repeated factor on every line, and the
+    # exact division in csck.cone.isolate_on_segment rests on it
+    x, y, z = sympy.symbols("x y z")
+    for m in range(1, 8):
+        for n in range(1, 9 - m):
+            terms = compute_obstruction(Dims(m, n)).F.terms()
+            content, factors = sympy.factor_list(sum(int(c) * x**a * y**b * z**e for (a, b, e), c in terms))
+            assert content != 0 and len(factors) == 2, (m, n, factors)
+            assert (z, 2) in factors, (m, n)
+            rest = next(f for f, k in factors if f != z)
+            assert sympy.Poly(rest, x, y, z).total_degree() == m + n + 2, (m, n)
+
+
 def _recorded_shapes(monkeypatch, terms, d):
     """The (scale, e_x, e_y, shift_x) of every shape a term builder adds."""
     shapes = []
@@ -176,6 +247,11 @@ class TestClosedFormWeights:
                 ]
                 if k:
                     h_shapes += [(m * k * s0, k - 1, big_n - k, True), (-(m + 2) * k * s0, k - 1, big_n - k, False)]
+            # h adds each shape once, with its scales summed over q
+            grouped: dict[tuple, int] = {}
+            for scale, *shape in h_shapes:
+                grouped[tuple(shape)] = grouped.get(tuple(shape), 0) + scale
+            h_shapes = [(scale, *shape) for shape, scale in grouped.items()]
             assert sorted(_recorded_shapes(monkeypatch, character._g_terms, d)) == sorted(g_shapes), d
             assert sorted(_recorded_shapes(monkeypatch, character._h_terms, d)) == sorted(h_shapes), d
 

@@ -306,9 +306,10 @@ def test_huge_scan_ranges_are_usage_error_at_once():
 
 
 def test_benchmark_trace_hooks_leave_stdout_alone():
-    # perfbench/traced.py reads len(F), F.terms(), UniPoly.degree and the Fraction coefficients
+    # perfbench/traced.py reads len(F), F.terms(), UniPoly.degree and the Fraction coefficients;
+    # verify still restricts the expanded F to lines, to cross-check the shape form
     root = Path(__file__).resolve().parent.parent
-    argv = ["scan", "--m", "1", "--n", "2", "--format", "csv", "--no-meta"]
+    argv = ["verify", "--format", "json", "--no-meta"]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     tracer = [sys.executable, str(root / "perfbench" / "traced.py")]
     traced = subprocess.run([*tracer, *argv], env=env, capture_output=True, text=True, timeout=60)

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from csck import cone
-from csck.character import Dims, KahlerClass
+from csck import cone, polynomials
+from csck.character import Dims, KahlerClass, compute_obstruction
 from csck.cli import main
 from csck.cone import (
     MAX_DIM,
@@ -37,8 +37,9 @@ from csck.cone import (
     sign_at,
     vertex_c,
 )
-from csck.polynomials import MultiPoly3
+from csck.polynomials import sturm_isolate
 from oracles import reference_in_kahler_triangle, reference_limit_l1, reference_limit_l2, reference_sample_face
+from test_character import shape_segments
 
 
 class TestFaceGeometry:
@@ -163,11 +164,32 @@ class TestKeCheck:
             assert (value == 0) == (m == n), (m, n)
         assert values[2, 1] == 2304
 
+    def test_sign_over_the_cli_range(self):
+        # the same for every pair the CLI accepts, each unordered pair once,
+        # through the shape-form point value
+        for m in range(1, MAX_DIM + 1):
+            for n in range(m, MAX_DIM + 1):
+                value = ke_check(Dims(m, n))
+                assert (value > 0) - (value < 0) == (m > n) - (m < n), (m, n)
+                assert ke_check(Dims(n, m)) == -value, (m, n)
+
 
 _SMALL_COORDS = st.fractions(min_value=-2, max_value=2, max_denominator=6)
 _SEGMENT_ENDS = st.builds(KahlerClass, _SMALL_COORDS, _SMALL_COORDS, _SMALL_COORDS)
 # classes on z = 0, where z^2 divides F
 _FLAT_ENDS = st.builds(KahlerClass, _SMALL_COORDS, _SMALL_COORDS, st.just(0))
+
+
+def _assert_intervals_match_the_expanded_restriction(d, start, end, width):
+    # the shape form, divided by z(t)^2 where that applies, against the
+    # expanded F's restriction isolated with its square-free part always taken
+    report = isolate_on_segment(d, KahlerClass(*start), KahlerClass(*end), width)
+    expanded = compute_obstruction(d).F.restrict_to_line(start, end)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polynomials, "_simple_roots_bound", lambda *args: None)
+        reference = sturm_isolate(expanded, 0, 1, width)
+    assert report.identically_zero == reference.identically_zero
+    assert tuple(r.interval for r in report.roots) == reference.intervals
 
 
 class TestSegments:
@@ -212,6 +234,30 @@ class TestSegments:
         assert report.sign_start == sign_at(d, start)
         assert report.sign_end == sign_at(d, end)
 
+    def test_zero_at_the_end_gets_a_straddling_interval(self):
+        # the segment ends on AB, where z = 0 and F vanishes: the zero at t = 1
+        # is isolated by an interval reaching past the segment, not certified
+        d = Dims(1, 2)
+        report = isolate_on_segment(d, vertex_c(d).as_class(), KahlerClass(Fraction(1, 2), Fraction(1, 2), 0))
+        assert report.sign_end == 0
+        last = report.roots[-1]
+        assert (last.interval.lo, last.interval.hi) == (Fraction(2097151, 2097152), Fraction(2097153, 2097152))
+        assert not last.inside_certified
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(shape_segments(top=6))
+    @example((Dims(2, 2), (1, 1, 1), (4, 4, 2)))  # F(c1) = 0 at t = 1, z > 0 up to t = 3/2: divided
+    @example((Dims(2, 2), (1, 2, 1), (Fraction(1, 2), Fraction(1, 2), Fraction(1, 4))))  # z(3/2) < 0: not divided
+    def test_intervals_match_the_expanded_restriction(self, segment):
+        _assert_intervals_match_the_expanded_restriction(*segment, cone.DEFAULT_WIDTH)
+
+    @pytest.mark.parametrize("width", [Fraction(1), Fraction(1, 2)])
+    def test_wide_straddle_keeps_a_zero_of_z_out(self, width):
+        # F(c1) = 0 at t = 1 and z = 0 at t = 10/9, inside the interval that
+        # straddles t = 1 at these widths: z(t)^2 is not divided out there
+        ends = (KahlerClass(1, 1, 1), KahlerClass(Fraction(1, 5), Fraction(1, 5), Fraction(1, 10)))
+        _assert_intervals_match_the_expanded_restriction(Dims(2, 2), *ends, width)
+
     def test_json_shape(self):
         d = Dims(1, 2)
         report = isolate_on_segment(d, KahlerClass(Fraction(7, 16), Fraction(7, 16), Fraction(1, 8)), vertex_c(d).as_class())
@@ -245,14 +291,14 @@ class TestScan:
 
     @pytest.mark.parametrize("m,n", [(1, 2), (4, 7), (2, 2), (3, 1), (10, 9)])
     def test_f_is_evaluated_once_beyond_the_witness_probes(self, m, n, monkeypatch):
-        # F(c1) is the one full evaluation outside the witness search: the
-        # vertex sign comes from it, the segment end signs from the restriction
+        # F(c1) is the one shape-form point value outside the witness search:
+        # the vertex sign comes from it, the segment end signs from the restriction
         counts = {"evaluate": 0, "probes": 0}
-        evaluate, search = MultiPoly3.evaluate, cone._search_signed_point
+        evaluate, search = cone.obstruction_at, cone._search_signed_point
 
-        def counting_evaluate(poly, point):
+        def counting_evaluate(d, point):
             counts["evaluate"] += 1
-            return evaluate(poly, point)
+            return evaluate(d, point)
 
         def counting_search(*args):
             before = counts["evaluate"]
@@ -260,12 +306,23 @@ class TestScan:
             counts["probes"] += counts["evaluate"] - before
             return found
 
-        monkeypatch.setattr(MultiPoly3, "evaluate", counting_evaluate)
+        monkeypatch.setattr(cone, "obstruction_at", counting_evaluate)
         monkeypatch.setattr(cone, "_search_signed_point", counting_search)
         row = scan_pair(m, n)
         assert row.sign_change_found
         assert counts["probes"] >= 1
         assert counts["evaluate"] == 1 + counts["probes"]
+
+    def test_scan_locate_and_evaluate_never_build_f(self, capsys):
+        compute_obstruction.cache_clear()
+        for argv in (
+            ["scan", "--m", "1..3", "--n", "1..4", "--all-pairs"],
+            ["locate", "-m", "2", "-n", "3", "--from", "7/16,7/16,1/8", "--to", "1/3,4/9,2/9"],
+            ["evaluate", "-m", "3", "-n", "2", "--class", "3,4,2"],
+        ):
+            assert main(argv + ["--no-meta"]) == 0
+        capsys.readouterr()
+        assert compute_obstruction.cache_info().misses == 0
 
     def test_equal_dims_row(self):
         rows = scan_range(3, 3, 3, 3, all_pairs=True)

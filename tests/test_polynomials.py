@@ -603,10 +603,38 @@ class TestIsolationAgainstSturm:
         got = _interval_tuple(sturm_isolate(p, 0, 1, Fraction(1, 8)))
         assert got == _sturm_isolate_reference(p, 0, 1, Fraction(1, 8)) == (cell,)
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_isolation_cases())
+    def test_fast_and_slow_paths_agree(self, case):
+        # the path that skips the square-free part where Descartes proves the
+        # roots simple, against the one that always takes it and the Sturm count
+        p, lo, hi, width = case
+        fast = sturm_isolate(p, lo, hi, width)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(polynomials, "_simple_roots_bound", lambda *args: None)
+            slow = sturm_isolate(p, lo, hi, width)
+        assert fast == slow
+        assert len(fast.intervals) == count_roots(sturm_chain(square_free_part(p)), Fraction(lo), Fraction(hi))
+
+    def test_fast_path_needs_a_bound_of_one_and_nonzero_ends(self):
+        lo, hi = Fraction(0), Fraction(1)
+        simple = _primitive_positive(_expand([Fraction(-1, 3), 1], [-5, 1]).coefficients())  # roots 1/3 and 5
+        assert polynomials._simple_roots_bound(simple, lo, hi) == 1
+        double = _primitive_positive(_expand([Fraction(-1, 3), 1], [Fraction(-1, 3), 1]).coefficients())
+        assert polynomials._simple_roots_bound(double, lo, hi) is None  # the bound is 2
+        at_end = _primitive_positive(_expand([-1, 1], [-5, 1]).coefficients())  # root at hi
+        assert polynomials._simple_roots_bound(at_end, lo, hi) is None
+        for coeffs in (simple, double, at_end):
+            p = UniPoly(coeffs)
+            chain = sturm_chain(square_free_part(p))
+            assert len(sturm_isolate(p, lo, hi).intervals) == count_roots(chain, lo, hi) == 1
+
     def test_scan_restrictions_match_sturm_reference(self):
         restrictions = _scan_restrictions()
         assert len(restrictions) == 49
         for p in restrictions:
+            # each restriction proves its one root simple, so isolation skips the square-free part
+            assert polynomials._simple_roots_bound(list(polynomials._primitive_positive(p).nums), Fraction(0), Fraction(1)) == 1
             got = _interval_tuple(sturm_isolate(p, 0, 1, cone.DEFAULT_WIDTH))
             assert got == _sturm_isolate_reference(p, 0, 1, cone.DEFAULT_WIDTH)
             assert len(got) == 1
