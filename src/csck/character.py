@@ -328,12 +328,16 @@ def anticanonical_class(d: Dims) -> KahlerClass:
     return KahlerClass(d.m + 2, d.n + 2, 2)
 
 
+def _integral_coords(cls: KahlerClass) -> tuple[int, int, int]:
+    if not cls.is_integral():
+        raise ValueError(f"fixed-component data needs an integral class, got {cls}")
+    return cls.x.numerator, cls.y.numerator, cls.z.numerator
+
+
 def fixed_components(d: Dims, cls: KahlerClass) -> tuple[FixedComponent, FixedComponent]:
     """Weight data of the two fiber-fixed sections, evaluated at an
     integral class."""
-    if not cls.is_integral():
-        raise ValueError(f"fixed-component data needs an integral class, got {cls}")
-    lam, mu, nu = (int(v) for v in cls)
+    lam, mu, nu = _integral_coords(cls)
     m, n = d.m, d.n
     first = FixedComponent(1, -1, -mu, m, n + 2, lam - nu, mu, -1, d, cls)
     second = FixedComponent(2, 1, -mu + nu, m + 2, n, lam, mu - nu, 1, d, cls)
@@ -447,10 +451,11 @@ def _component_value(d: Dims, fc: FixedComponent, eps: int, x) -> int:
 
 
 @lru_cache(maxsize=4)
-def _sum_form(d: Dims, cls: KahlerClass) -> tuple[int, ...]:
-    """c_0..c_N of both components' sum at eps = 1.  Its terms are products
-    of N = m+n+2 forms linear in (t, eps), so at eps it is sum_i c_i eps^(N-i) t^i."""
-    first, second = fixed_components(d, cls)
+def _sum_form(d: Dims, lam: int, mu: int, nu: int) -> tuple[int, ...]:
+    """c_0..c_N of both components' sum at eps = 1 for the class (lam, mu, nu).
+    Its terms are products of N = m+n+2 forms linear in (t, eps), so at eps
+    it is sum_i c_i eps^(N-i) t^i."""
+    first, second = fixed_components(d, KahlerClass(lam, mu, nu))
     shift = _digit_shift(d, _forms(first, 1) + _forms(second, 1))
     total = _component_value(d, first, 1, 1 << shift) + _component_value(d, second, 1, 1 << shift)
     return tuple(_balanced_digits(total, shift, d.m + d.n + 3))
@@ -459,7 +464,8 @@ def _sum_form(d: Dims, cls: KahlerClass) -> tuple[int, ...]:
 def _sum_coeffs(d: Dims, eps: int, cls: KahlerClass) -> list[int]:
     """The m + n + 3 integer coefficients of :func:`localized_sum_poly`."""
     _check_eps(eps)
-    form = _sum_form(d, cls)
+    # the cache key is integers: hashing the class would hash three Fractions
+    form = _sum_form(d, *_integral_coords(cls))
     return [c * eps ** (len(form) - 1 - i) for i, c in enumerate(form)]
 
 

@@ -6,11 +6,15 @@ forms in :mod:`csck.character`:
 * the *series route*: each fixed component's contribution is recovered as an
   x^m y^n coefficient of (1+x)^m (1+y)^n Phi^(m+n-s) Psi^s in exact truncated
   series arithmetic, where Phi and Psi are the binomial series attached to
-  the component's weights;
+  the component's weights.  The powers of Phi are kept per (m, n, delta) and
+  those of Psi per (beta, gamma, m + n), so evaluation points that share
+  weights share them;
 * the *cyclotomic route*: the weighted sums Lambda_j evaluated at all p-th
   roots of unity are computed exactly in Q(alpha_p) = Q[t]/(1 + t + ... +
   t^(p-1)), and the mod-p congruence that collapses them to the limit value
-  Lambda_j(1) is checked literally, prime by prime.
+  Lambda_j(1) is checked literally, prime by prime.  Each Lambda_j is
+  evaluated once, at alpha_p; its value at alpha_p^k is the Galois conjugate
+  sigma_k of that, a permutation of its coefficients.
 
 Both routes are slower than the closed forms and run behind the CLI's deep
 verification flag; they are the executable witnesses of the reduction steps
@@ -74,6 +78,7 @@ class SeriesContext(NamedTuple):
     psi: TruncSeries2
 
 
+@lru_cache(maxsize=64)
 def _shifted_binomial(e_x: int, e_y: int, cap: int) -> TruncSeries2:
     """(1 + x)^e_x (1 + y)^e_y - 1, truncated past total degree cap."""
     return TruncSeries2.binomial_series(e_x, e_y, cap) - TruncSeries2.constant(1, cap)
@@ -102,12 +107,15 @@ def _fixed_powers(m: int, n: int, delta: int) -> tuple[TruncSeries2, ...]:
     return tuple(powers)
 
 
-def _psi_powers(ctx: SeriesContext) -> list[TruncSeries2]:
-    """The powers 0..m+n of the context's Psi."""
-    powers = [TruncSeries2.constant(1, ctx.truncation)]
-    for _ in range(ctx.truncation):
-        powers.append(powers[-1] * ctx.psi)
-    return powers
+@lru_cache(maxsize=64)
+def _psi_powers(beta: int, gamma: int, cap: int) -> tuple[TruncSeries2, ...]:
+    """The powers 0..cap of Psi = (1+x)^beta (1+y)^gamma - 1, shared by every
+    context with these weights."""
+    psi = _shifted_binomial(beta, gamma, cap)
+    powers = [TruncSeries2.constant(1, cap)]
+    for _ in range(cap):
+        powers.append(powers[-1] * psi)
+    return tuple(powers)
 
 
 def series_component_value(ctx: SeriesContext) -> Fraction:
@@ -117,15 +125,15 @@ def series_component_value(ctx: SeriesContext) -> Fraction:
     d, fc = ctx.dims, ctx.fc
     m, n = d.m, d.n
     fixed = _fixed_powers(m, n, fc.delta)
-    psi_pows = _psi_powers(ctx)
+    psi_pows = _psi_powers(ctx.beta, ctx.gamma, ctx.truncation)
     c0 = ctx.zeta * fc.kappa - ctx.eps * fc.r
-    total = Fraction(0)
+    total = 0  # integral series: the sum stays in integers
     for s in range(m + n + 1):
         coeff = binomial(m + n + 2, s) * fc.delta ** (m + n - s + 1) * c0 ** (m + n + 2 - s)
         if coeff == 0:
             continue
-        total += coeff * fixed[m + n - s].product_coefficient(psi_pows[s], (m, n))
-    return total
+        total += coeff * fixed[m + n - s]._product_coefficient(psi_pows[s], (m, n))
+    return Fraction(total)
 
 
 # -- cyclotomic route ----------------------------------------------------------
@@ -265,20 +273,25 @@ def _check_lambda_indices(d: Dims, s: int, j: int, delta: int) -> None:
 def _lambda_row(p: int, k: int, d: Dims, c0: int, delta: int) -> list[list[CycloElement]]:
     """Lambda_j at alpha_p^k for every s = 0..m+n (outer) and j = 0..m+n-s
     (inner): alpha^(k(s c0 + delta)) (alpha^(k c0) - 1)^(m+n+2-s) over
-    (alpha^k - 1) (alpha^(k delta) - 1)^(j+1).
+    (alpha^k - 1) (alpha^(k delta) - 1)^(j+1).  Every entry is a rational
+    function of alpha^k, so the row at k is sigma_k of the row at 1;
+    :func:`_root_sums` builds only that one.
 
     The powers of alpha^(k c0) - 1 are formed once, and the inverses of all
-    m + n + 1 denominators come from two inversions, so each numerator costs
-    one product and each (s, j) one more.  All powers of the root are cyclic,
-    so negative exponents need no special casing."""
+    m + n + 1 denominators come from the one inversion of alpha^k - 1, since
+    alpha^(-k) - 1 = -alpha^(-k) (alpha^k - 1) for delta = -1; so each
+    numerator costs one product and each (s, j) one more.  All powers of the
+    root are cyclic, so negative exponents need no special casing."""
     one = CycloElement.rational(p, 1)
     top = d.m + d.n
     base = CycloElement.root_power(p, k * c0) - one
     base_pows = [one]
     for _ in range(top + 2):
         base_pows.append(base_pows[-1] * base)
-    step = (CycloElement.root_power(p, k * delta) - one).inverse()
-    den_invs = [(CycloElement.root_power(p, k) - one).inverse() * step]
+    root = CycloElement.root_power(p, k)
+    inv = (root - one).inverse()
+    step = inv if delta == 1 else -(root * inv)  # 1 / (alpha^(k delta) - 1)
+    den_invs = [inv * step]
     for _ in range(top):
         den_invs.append(den_invs[-1] * step)
     row = []
@@ -292,13 +305,20 @@ def _lambda_row(p: int, k: int, d: Dims, c0: int, delta: int) -> list[list[Cyclo
 def _root_sums(p: int, d: Dims, c0: int, delta: int) -> tuple[tuple[int, ...], ...]:
     """-sum_{k=1}^{p-1} Lambda_j(alpha_p^k) at [s][j] for every s = 0..m+n and
     j = 0..m+n-s, summed literally in Q(alpha_p); every sum must come out
-    rational and integral.  Only these integers outlive the call."""
-    totals = _lambda_row(p, 1, d, c0, delta)
-    for k in range(2, p):
-        totals = [[a + b for a, b in zip(acc, row)] for acc, row in zip(totals, _lambda_row(p, k, d, c0, delta))]
+    rational and integral.  Only these integers outlive the call.
+
+    Lambda_j is evaluated once, at alpha_p, by :func:`_lambda_row`; the term
+    at alpha_p^k is its conjugate sigma_k, a permutation of its
+    coefficients, so no other root costs an inversion or a product."""
     sums = []
-    for acc in totals:
-        values = tuple(t.rational_value() for t in acc)
+    for row in _lambda_row(p, 1, d, c0, delta):
+        totals = []
+        for value in row:
+            total = value
+            for k in range(2, p):
+                total = total + value.conjugate(k)
+            totals.append(total)
+        values = tuple(t.rational_value() for t in totals)
         for value in values:
             if value.denominator != 1:
                 raise InvariantViolation(f"summed Lambda value is not an integer: {value}")
@@ -314,8 +334,14 @@ def lambda_at_one(d: Dims, s: int, j: int, c0: int, delta: int) -> Fraction:
     the numerator) is an invariant violation, impossible within the
     precondition 0 <= j <= m + n - s, 0 <= s <= m + n.
     """
-    m, n = d.m, d.n
     _check_lambda_indices(d, s, j, delta)
+    return _lambda_limit(d.m + d.n, s, j, c0, delta)
+
+
+@lru_cache(maxsize=1024)
+def _lambda_limit(top: int, s: int, j: int, c0: int, delta: int) -> Fraction:
+    """:func:`lambda_at_one` for m + n = top, on checked indices; the limit
+    depends on m and n only through their sum."""
     den_order = j + 2
     cap = den_order
 
@@ -342,7 +368,7 @@ def lambda_at_one(d: Dims, s: int, j: int, c0: int, delta: int) -> Fraction:
 
     cm1 = one_plus_u_pow(c0)
     cm1[0] -= 1  # (1+u)^c0 - 1
-    num = mul(one_plus_u_pow(s * c0 + delta), powered(cm1, m + n + 2 - s))
+    num = mul(one_plus_u_pow(s * c0 + delta), powered(cm1, top + 2 - s))
     dm1 = one_plus_u_pow(delta)
     dm1[0] -= 1  # (1+u)^delta - 1
     den = mul([0, 1] + [0] * (cap - 1), powered(dm1, j + 1))
@@ -389,14 +415,16 @@ def t_sum_congruence_check(
     m, n = d.m, d.n
     c0 = zeta * fc.kappa - eps * fc.r
     fixed = _fixed_powers(m, n, fc.delta)
-    psi_pows = _psi_powers(build_series_context(d, fc, eps, zeta, cls))
+    ctx = build_series_context(d, fc, eps, zeta, cls)
+    psi_pows = _psi_powers(ctx.beta, ctx.gamma, ctx.truncation)
     sums = _root_sums(p, d, c0, fc.delta)
-    total = Fraction(0)
+    total = 0
     for s in range(m + n + 1):
         for j in range(m + n - s + 1):
-            extracted = fixed[j].product_coefficient(psi_pows[s], (m, n))
+            extracted = fixed[j]._product_coefficient(psi_pows[s], (m, n))
             if extracted:
                 total += binomial(m + n + 2, s) * sums[s][j] * extracted
+    total = Fraction(total)
     if total.denominator != 1:
         raise InvariantViolation(f"root-of-unity T-sum is not an integer: {total}")
     reference = localized_component_poly(d, fc, eps, cls).evaluate(zeta)

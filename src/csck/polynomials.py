@@ -171,13 +171,16 @@ class MultiPoly3:
 
     def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
         """p(point), summed in integers over the common denominator of the
-        coefficients and of the point; no homogeneity is assumed."""
-        px, py, pz = (Fraction(v) for v in point)
+        coefficients and of the point; no homogeneity is assumed.  An
+        integral point needs no padding powers of that denominator."""
+        px, py, pz = (v if type(v) is Fraction else Fraction(v) for v in point)
         den, top, (mx, my, mz), terms = self._integer_form()
         scale = lcm(px.denominator, py.denominator, pz.denominator)
         xs = _powers(px.numerator * (scale // px.denominator), mx)
         ys = _powers(py.numerator * (scale // py.denominator), my)
         zs = _powers(pz.numerator * (scale // pz.denominator), mz)
+        if scale == 1:
+            return Fraction(sum(c * xs[ex] * ys[ey] * zs[ez] for ex, ey, ez, _, c in terms), den)
         pads = _powers(scale, top)
         total = sum(c * xs[ex] * ys[ey] * zs[ez] * pads[pad] for ex, ey, ez, pad, c in terms)
         return Fraction(total, den * pads[top])
@@ -298,7 +301,11 @@ def _add_scaled(acc: list[int], scale: int, row: list[int]) -> None:
 
 
 def _times_line_power(p: list[int], const: int, lin: int, times: int) -> list[int]:
-    """p * (const + lin*t)^times, one linear factor at a time."""
+    """p * (const + lin*t)^times: a shift by times and a scale by
+    lin^times when const = 0, otherwise one linear factor at a time."""
+    if const == 0:
+        scale = lin**times
+        return [0] * times + [scale * u for u in p]
     for _ in range(times):
         p = [const * u + lin * v for u, v in zip(p + [0], [0] + p)]
     return p
@@ -427,13 +434,13 @@ class TruncSeries2:
     @classmethod
     def binomial_series(cls, e_x: int, e_y: int, truncation: int) -> "TruncSeries2":
         """(1 + x)^e_x (1 + y)^e_y for arbitrary integer exponents."""
+        ys = [general_binomial(e_y, j) for j in range(truncation + 1)]
         data = {}
         for i in range(truncation + 1):
             bx = general_binomial(e_x, i)
             if bx == 0:
                 continue
-            for j in range(truncation + 1 - i):
-                by = general_binomial(e_y, j)
+            for j, by in enumerate(ys[: truncation + 1 - i]):
                 if by:
                     data[(i, j)] = bx * by
         return cls(truncation, data)
@@ -458,6 +465,11 @@ class TruncSeries2:
     def product_coefficient(self, other: "TruncSeries2", exponent: Sequence[int]) -> Fraction:
         """The coefficient of ``self * other`` at ``exponent``, without
         forming the product: one lookup in ``other`` per term of ``self``."""
+        return Fraction(self._product_coefficient(other, exponent))
+
+    def _product_coefficient(self, other: "TruncSeries2", exponent: Sequence[int]) -> Fraction | int:
+        """:meth:`product_coefficient` as summed, an ``int`` when both series
+        are integral."""
         self._check(other)
         e0, e1 = self._retained(exponent)
         theirs = other._terms
@@ -466,7 +478,7 @@ class TruncSeries2:
             cb = theirs.get((e0 - a0, e1 - a1))
             if cb is not None:
                 total += ca * cb
-        return Fraction(total)
+        return total
 
     def _check(self, other: "TruncSeries2") -> None:
         if self.truncation != other.truncation:
@@ -489,22 +501,29 @@ class TruncSeries2:
         return out
 
     def __mul__(self, other: "TruncSeries2") -> "TruncSeries2":
+        """The product, accumulated in a flat list indexed by i * (cap + 1) + j,
+        so the index of a product term is the sum of its factors' indices.
+        The other factor's terms are bucketed by total degree, and a term of
+        ``self`` of degree d meets only the prefix of degree <= cap - d."""
         self._check(other)
         cap = self.truncation
-        data: dict[tuple[int, int], Fraction | int] = {}
+        width = cap + 1
+        buckets: list[list[tuple[int, Fraction | int]]] = [[] for _ in range(width)]
+        for (b0, b1), cb in other._terms.items():
+            buckets[b0 + b1].append((b0 * width + b1, cb))
+        theirs: list[tuple[int, Fraction | int]] = []
+        ends = []  # ends[d]: the number of terms of degree <= d
+        for bucket in buckets:
+            theirs += bucket
+            ends.append(len(theirs))
+        acc: list[Fraction | int] = [0] * (width * width)
         for (a0, a1), ca in self._terms.items():
-            for (b0, b1), cb in other._terms.items():
-                e = (a0 + b0, a1 + b1)
-                if e[0] + e[1] > cap:
-                    continue
-                s = data.get(e, 0) + ca * cb
-                if s:
-                    data[e] = s
-                else:
-                    data.pop(e, None)
+            base = a0 * width + a1
+            for index, cb in theirs[: ends[cap - a0 - a1]]:
+                acc[base + index] += ca * cb
         out = TruncSeries2.__new__(TruncSeries2)
         out.truncation = cap
-        out._terms = data
+        out._terms = {divmod(index, width): c for index, c in enumerate(acc) if c}
         return out
 
     def __eq__(self, other: object) -> bool:

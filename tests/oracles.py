@@ -22,7 +22,11 @@ path against it term for term:
   per s, every binomial weight computed where it is used;
 * :func:`reference_limit_l1` and :func:`reference_limit_l2` sum the
   probe-line limits over every (s, q) of the double sum, with their own copy
-  of its coefficient.
+  of its coefficient;
+* :func:`dict_series_product` multiplies truncated series pair of terms by
+  pair of terms into a dict, popping every sum that cancels;
+* :func:`times_line_power_by_factors` multiplies a coefficient list by a
+  power of a linear form one factor at a time.
 """
 from fractions import Fraction
 from math import lcm
@@ -39,7 +43,7 @@ from csck.cone import (
 )
 from csck.exact import binomial
 from csck.localization import CycloElement
-from csck.polynomials import MultiPoly3, UniPoly, int_power_table
+from csck.polynomials import MultiPoly3, TruncSeries2, UniPoly, int_power_table
 
 
 def int_convolve(a: list[int], b: list[int]) -> list[int]:
@@ -275,3 +279,34 @@ def reference_limit_l2(d: Dims) -> Fraction:
             )
             total += Fraction(c * bracket, 2 ** (m + n + 2))
     return total
+
+
+def dict_series_product(a: TruncSeries2, b: TruncSeries2) -> TruncSeries2:
+    """a * b for equal truncations, every pair of terms in turn, summed in a
+    dict keyed by exponent pair; a sum that cancels is popped, so no zero
+    coefficient is stored."""
+    if a.truncation != b.truncation:
+        raise ValueError(f"mismatched truncation degrees {a.truncation} != {b.truncation}")
+    cap = a.truncation
+    data = {}
+    for (a0, a1), ca in a._terms.items():
+        for (b0, b1), cb in b._terms.items():
+            e = (a0 + b0, a1 + b1)
+            if e[0] + e[1] > cap:
+                continue
+            s = data.get(e, 0) + ca * cb
+            if s:
+                data[e] = s
+            else:
+                data.pop(e, None)
+    out = TruncSeries2.__new__(TruncSeries2)
+    out.truncation = cap
+    out._terms = data
+    return out
+
+
+def times_line_power_by_factors(p: list[int], const: int, lin: int, times: int) -> list[int]:
+    """p * (const + lin*t)^times, one linear factor at a time."""
+    for _ in range(times):
+        p = [const * u + lin * v for u, v in zip(p + [0], [0] + p)]
+    return p

@@ -83,6 +83,19 @@ class TestSeriesRoute:
         assert localized_component_poly(d, first, 0, cls).evaluate(5) == 0
 
 
+class TestSeriesRouteFar:
+    """The series route past the verify grid, where it is the costliest route;
+    the value only is pinned, not the time."""
+
+    @pytest.mark.parametrize("m, n", [(9, 11), (14, 16)])
+    def test_far_value_equals_closed_form(self, m, n):
+        d = Dims(m, n)
+        cls = KahlerClass(3, 4, 2)
+        for fc in fixed_components(d, cls):
+            ctx = build_series_context(d, fc, 1, 2, cls)
+            assert series_component_value(ctx) == localized_component_poly(d, fc, 1, cls).evaluate(2)
+
+
 class TestCycloElement:
     def test_root_powers_cycle(self):
         a = CycloElement.root_power(5, 1)
@@ -184,17 +197,17 @@ class TestLambdaLimit:
             lambda_at_one(Dims(1, 1), s, 0, 1, 1)
 
 
-# Lambda_j forced to 1/2 at the first root and 0 at the others, for every
-# (s, j): the root sum 1/2 is not an integer, so both checks must raise
-# instead of returning a verdict.  (1/2 at every root would sum to the integer
-# (p-1)/2.)
+# Lambda_j forced to 1/3 at the first root, for every (s, j).  The root sum
+# carries it to the other roots by conjugation, which fixes a rational, so at
+# p = 3 it is 2/3, not an integer, and both checks must raise instead of
+# returning a verdict.  (1/2 would sum to the integer (p-1)/2 = 1.)
 _NON_INTEGRAL_ROOT_SUM = """
 from fractions import Fraction
 from csck import localization as L
 from csck.character import Dims, InvariantViolation, KahlerClass, fixed_components
 
 def _row(p, k, d, c0, delta):
-    value = L.CycloElement.rational(p, Fraction(1, 2) if k == 1 else 0)
+    value = L.CycloElement.rational(p, Fraction(1, 3) if k == 1 else 0)
     return [[value] * (d.m + d.n - s + 1) for s in range(d.m + d.n + 1)]
 
 L._lambda_row = _row
@@ -259,6 +272,21 @@ class TestCongruences:
                             assert len(table[s]) == m + n - s + 1
                             for j in range(m + n - s + 1):
                                 assert table[s][j] == reference_root_sum(p, d, s, j, c0, delta), (p, d, s, j, c0)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_lambda_row_at_each_root_is_a_conjugate(self, p):
+        # the root sums evaluate only the row at alpha_p and carry it to
+        # alpha_p^k by sigma_k; the row evaluated at alpha_p^k must agree
+        for d in (Dims(1, 1), Dims(1, 2), Dims(2, 3)):
+            for c0 in (-3, 0, 1, 4):
+                for delta in (-1, 1):
+                    first = localization._lambda_row(p, 1, d, c0, delta)
+                    for k in range(2, p):
+                        row = localization._lambda_row(p, k, d, c0, delta)
+                        assert [len(r) for r in row] == [len(r) for r in first]
+                        for at_k, at_one in zip(row, first):
+                            for value, base in zip(at_k, at_one):
+                                assert value == base.conjugate(k), (p, d, c0, delta, k)
 
     def test_composite_p_rejected(self):
         with pytest.raises(ValueError):
@@ -371,6 +399,9 @@ class TestLambdaLimitAgainstFractions:
         # numerator has order 0 below the denominator's j + 2
         from csck import localization
 
+        # the limits are memoized: a value cached by an earlier test would
+        # be returned without reaching the patched binomials
+        localization._lambda_limit.cache_clear()
         monkeypatch.setattr(localization, "general_binomial", lambda e, i: 2 if i == 0 else 1)
         with pytest.raises(InvariantViolation, match="pole"):
             lambda_at_one(Dims(1, 1), 0, 0, 3, 1)

@@ -30,6 +30,7 @@ from csck.polynomials import (
     UniPoly,
     _pseudo_divmod,
     _sign_at_rational,
+    _times_line_power,
     _variations_int,
     count_roots,
     poly_gcd,
@@ -37,7 +38,7 @@ from csck.polynomials import (
     sturm_chain,
     sturm_isolate,
 )
-from oracles import poly_product, poly_sum, reference_restrict
+from oracles import dict_series_product, poly_product, poly_sum, reference_restrict, times_line_power_by_factors
 
 # The golden 13-term polynomial for (m, n) = (1, 2), transcribed term by term.
 F_1_2 = MultiPoly3(
@@ -977,3 +978,89 @@ class TestTruncSeriesAgainstFractions:
                 }
                 self._assert_matches(series, expected)
                 assert all(c != 0 for _, c in series.terms()), (e_x, e_y)
+
+
+_SMALL_COEFFS = st.sampled_from((-2, -1, 1, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3)))
+
+
+@st.composite
+def _series_pairs(draw):
+    """Two series with one truncation 0..6, int or Fraction coefficients from
+    a small set on exponents 0..3, so that products often cancel."""
+    cap = draw(st.integers(0, 6))
+    values = st.integers(-2, 2) if draw(st.booleans()) else _SMALL_COEFFS
+    terms = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), values, max_size=6)
+    return TruncSeries2(cap, draw(terms)), TruncSeries2(cap, draw(terms))
+
+
+class TestFlatSeriesProductAgainstDict:
+    """The flat-list product against the pairwise dict product it replaced."""
+
+    @staticmethod
+    def _assert_same(product, reference):
+        assert product == reference
+        assert all(c != 0 for c in product._terms.values())
+        for e, c in product._terms.items():
+            assert type(c) is type(reference._terms[e]), e
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_series_pairs())
+    def test_matches_dict_product(self, pair):
+        a, b = pair
+        self._assert_same(a * b, dict_series_product(a, b))
+        self._assert_same(b * a, dict_series_product(b, a))
+        self._assert_same(a * a, dict_series_product(a, a))
+
+    def test_integral_products_stay_int(self):
+        a = TruncSeries2.binomial_series(3, -2, 5)
+        assert all(type(c) is int for c in (a * a)._terms.values())
+
+    def test_cancelling_products_store_no_zero(self):
+        for cap in range(7):
+            x_plus_y = TruncSeries2(cap, {(1, 0): 1, (0, 1): 1})
+            x_minus_y = TruncSeries2(cap, {(1, 0): 1, (0, 1): -1})
+            product = x_plus_y * x_minus_y
+            assert product == dict_series_product(x_plus_y, x_minus_y)
+            assert (1, 1) not in product._terms
+            # (1 + x)(1 + x)^-1 = 1: every positive degree cancels
+            unit = TruncSeries2.binomial_series(1, 0, cap) * TruncSeries2.binomial_series(-1, 0, cap)
+            assert unit._terms == {(0, 0): 1}
+            half = TruncSeries2(cap, {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 2)})
+            two = TruncSeries2.binomial_series(-1, 0, cap) * TruncSeries2.constant(2, cap)
+            assert (half * two)._terms == {(0, 0): 1}
+
+    def test_empty_factors(self):
+        for cap in range(3):
+            empty, one = TruncSeries2(cap, {}), TruncSeries2.constant(1, cap)
+            assert (empty * one).is_zero() and (one * empty).is_zero()
+
+
+class TestTimesLinePowerAgainstFactors:
+    """The shift-and-scale branch for const = 0 and the factor loop against
+    one linear factor at a time."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.integers(-9, 9), max_size=6),
+        st.one_of(st.just(0), st.integers(-4, 4)),
+        st.one_of(st.just(0), st.integers(-4, 4)),
+        st.integers(0, 5),
+    )
+    def test_matches_factor_loop(self, p, const, lin, times):
+        assert _times_line_power(list(p), const, lin, times) == times_line_power_by_factors(list(p), const, lin, times)
+
+    @pytest.mark.parametrize(
+        "p, const, lin, times",
+        [
+            ([3, -1, 2], 0, 5, 3),
+            ([3, -1, 2], 0, 0, 2),
+            ([3, -1, 2], 4, 0, 2),
+            ([3, -1, 2], 0, 5, 0),
+            ([3, -1, 2], 2, -3, 0),
+            ([], 0, 5, 3),
+            ([], 2, -3, 2),
+            ([], 0, 0, 0),
+        ],
+    )
+    def test_edge_cases(self, p, const, lin, times):
+        assert _times_line_power(list(p), const, lin, times) == times_line_power_by_factors(list(p), const, lin, times)
