@@ -222,7 +222,7 @@ def _approx(args: argparse.Namespace, **values) -> dict:
 
 
 def _dims(args: argparse.Namespace) -> Dims:
-    """The pair (-m, -n), refused past :data:`cone.MAX_DIM` before F is built."""
+    """The pair (-m, -n), refused past :data:`cone.MAX_DIM` before any work."""
     if max(args.m, args.n) > cone.MAX_DIM:
         raise ValueError(f"-m and -n must be at most {cone.MAX_DIM}, got ({args.m}, {args.n})")
     return Dims(args.m, args.n)

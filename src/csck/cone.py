@@ -24,10 +24,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, NamedTuple
 
-from .character import Dims, KahlerClass, _integral, _make_checked, anticanonical_class, compute_obstruction
+from .character import Dims, KahlerClass, _integral, _make_checked, anticanonical_class
 from .character import obstruction_at, obstruction_on_line
 from .exact import InvariantViolation, binomial, sign
-from .polynomials import MultiPoly3, RootInterval, UniPoly, _exact_quotient, sturm_isolate
+from .polynomials import RootInterval, UniPoly, _exact_quotient, sturm_isolate
 
 REGION_INSIDE = "inside"
 REGION_BOUNDARY = "boundary"
@@ -46,8 +46,8 @@ MIN_WIDTH = Fraction(1, 2**2048)
 # still 124,251 points, each a line of output
 MAX_RESOLUTION = 500
 
-# The largest m or n a command accepts; character and sample-face build F
-# whole, of degree m + n + 4.
+# The largest m or n a command accepts; F has degree m + n + 4, and
+# character builds it whole.
 MAX_DIM = 100
 
 # The most scan worker processes; a process pool starts every worker at once.
@@ -129,11 +129,6 @@ def limit_l2(d: Dims) -> Fraction:
     m, n = d.m, d.n
     big_n = m + n + 2
     return Fraction((m + n) * big_n * (big_n - 1) * binomial(m + n, m), 2**big_n)
-
-
-def restrict_f_to_line(d: Dims, start, end) -> UniPoly:
-    """t -> F((1 - t) start + t end), from the shape form of F."""
-    return obstruction_on_line(d, start, end)
 
 
 def sign_at(d: Dims, c: KahlerClass) -> int:
@@ -219,7 +214,7 @@ def isolate_on_segment(
     if start == end:
         raise ValueError("segment endpoints coincide")
     _check_width(width)
-    restricted = restrict_f_to_line(d, start, end)
+    restricted = obstruction_on_line(d, start, end)
     # the restriction is exact, so its values at t = 0 and 1 are F at the ends
     sign_start = sign(restricted.evaluate(0))
     sign_end = sign(restricted.evaluate(1))
@@ -394,8 +389,8 @@ def sample_face(d: Dims, resolution: int) -> Iterator[FaceSample]:
     points (i, j, k)/R with i + j + k = R and i, j, k >= 1, in order of i,
     then j.
 
-    The arguments are checked, and F built, when this is called; the samples
-    are then produced one lattice row at a time as the iterator is read.
+    The arguments are checked when this is called; the samples are then
+    produced one lattice row at a time as the iterator is read.
     """
     if isinstance(resolution, bool) or not isinstance(resolution, int):
         raise ValueError(f"resolution must be an integer, got {resolution!r}")
@@ -403,19 +398,19 @@ def sample_face(d: Dims, resolution: int) -> Iterator[FaceSample]:
         raise ValueError(f"resolution must be at least 3, the first with an interior point, got {resolution}")
     if resolution > MAX_RESOLUTION:
         raise ValueError(f"resolution must be at most {MAX_RESOLUTION}, got {resolution}")
-    return _face_rows(d, compute_obstruction(d).F, resolution)
+    return _face_rows(d, resolution)
 
 
-def _face_rows(d: Dims, f: MultiPoly3, r: int) -> Iterator[FaceSample]:
+def _face_rows(d: Dims, r: int) -> Iterator[FaceSample]:
     # F is homogeneous and R > 0, so F(i/R, j/R, k/R) has the sign of the
-    # integer F(i, j, k); row i is den * F(i, t, R - i - t) for the positive
-    # den of F's integer form, taken at t = j by plain integer Horner over the
-    # reversed row.  The points share one coordinate table and skip
-    # FacePoint's Fraction check: on the lattice, x + y + z = 1 is the
-    # integer identity i + j + k = R.
+    # integer F(i, j, k); row i is F(i, t, R - i - t) restricted from the
+    # shape form, with integer ends and so integer coefficients, taken at
+    # t = j by plain integer Horner over the reversed row.  The points share
+    # one coordinate table and skip FacePoint's Fraction check: on the
+    # lattice, x + y + z = 1 is the integer identity i + j + k = R.
     coords = [Fraction(v, r) for v in range(r)]
     for i in range(1, r - 1):
-        row = f._face_row(i, r - i)[::-1]
+        row = obstruction_on_line(d, (i, 0, r - i), (i, 1, r - i - 1)).nums[::-1]
         for j in range(1, r - i):
             k = r - i - j
             if i + j + k != r:

@@ -6,8 +6,9 @@ program runs:
 
 * :class:`MultiPoly3` -- sparse polynomials in (x, y, z) over the rationals,
   a map from exponent triples to nonzero coefficients (``int`` when
-  integral); evaluated and restricted to lines in integers over one
-  denominator.
+  integral): the expanded g, h and F that ``character`` prints and that
+  ``verify`` evaluates and restricts to lines, in integers over one
+  denominator, against the shape form.
 * :class:`UniPoly` -- dense univariate polynomials (line restrictions and the
   localized sums), held as integer numerators over one positive denominator.
 * :class:`TruncSeries2` -- bivariate power series truncated at a total
@@ -232,33 +233,6 @@ class MultiPoly3:
             last_ez = ez
         outer = _times_line_power(outer, z0, z1, last_ez)
         return UniPoly._make(outer, den * pads[top])
-
-    def _face_row(self, x: int, c: int) -> list[int]:
-        """Integer coefficients of den * p(x, t, c - t) for integers x and c,
-        with den > 0 the common denominator of :meth:`_integer_form`, so
-        ``UniPoly._make(row, den)`` is :meth:`restrict_to_line` from
-        (x, 0, c) to (x, 1, c - 1).  Trailing zeros are not trimmed.
-
-        With x a constant and y = t, each ez block is one list in t read off
-        its terms, sum_ey (sum_ex c x^ex) t^ey, and Horner in z = c - t runs
-        over the blocks, sorted by ez, largest first.
-        """
-        _, _, (mx, _, _), terms = self._integer_form()
-        xs = _powers(x, mx)
-        outer: list[int] = []
-        last_ez = None
-        for ez, block in groupby(terms, key=itemgetter(2)):
-            inner: list[int] = []
-            for ex, ey, _, _, coef in block:
-                if not inner:
-                    # a block is sorted by ey, largest first
-                    inner = [0] * (ey + 1)
-                inner[ey] += coef * xs[ex]
-            if last_ez is not None:
-                outer = _times_line_power(outer, c, -1, last_ez - ez)
-            _add_scaled(outer, 1, inner)
-            last_ez = ez
-        return _times_line_power(outer, c, -1, last_ez or 0)
 
     # -- serialization ------------------------------------------------------
 

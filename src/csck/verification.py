@@ -31,6 +31,7 @@ from .character import (
     localized_sum_poly,
     localized_sum_poly_direct,
     obstruction_at,
+    obstruction_on_line,
     slope,
 )
 from .exact import factorial
@@ -202,7 +203,7 @@ def check_vanishing_orders() -> CheckResult:
         a = (Fraction(1), Fraction(0), Fraction(0))
         c = cone.vertex_c(d)
         lines = ((a, (c.x, c.y, c.z)), ((Fraction(1, 2), Fraction(1, 2), Fraction(0)), (0, 0, 1)))
-        f_l1, f_l2 = (cone.restrict_f_to_line(d, *ends) for ends in lines)
+        f_l1, f_l2 = (obstruction_on_line(d, *ends) for ends in lines)
         for name, f, ends in zip(("shape l1", "shape l2"), (f_l1, f_l2), lines):
             if f != compute_obstruction(d).F.restrict_to_line(*ends):
                 bad.append((m, n, name))
@@ -234,7 +235,7 @@ def check_root_isolation() -> CheckResult:
     elif cone.sign_at(d, positive) <= 0 or cone.sign_at(d, negative) >= 0:
         problems.append("endpoint signs not opposite")
     else:
-        restricted = cone.restrict_f_to_line(d, positive, negative)
+        restricted = obstruction_on_line(d, positive, negative)
         result = sturm_isolate(restricted, 0, 1, Fraction(1, 2**20))
         squarefree = square_free_part(restricted)
         if not result.intervals:
@@ -288,6 +289,9 @@ def check_cyclotomic_congruences() -> CheckResult:
     start = time.perf_counter()
     bad = []
     classes = [KahlerClass(3, 4, 2), KahlerClass(1, 1, 1)]
+    # a lambda-sum verdict depends on (p, d, c0, delta) alone, which several
+    # (component, eps, zeta) share; each is checked once
+    lambda_keys = set()
     for p in (3, 5):
         for m, n in ((1, 1), (1, 2)):
             d = Dims(m, n)
@@ -299,6 +303,10 @@ def check_cyclotomic_congruences() -> CheckResult:
                             if not verdict.passed:
                                 bad.append(verdict.params)
                             c0 = zeta * fc.kappa - eps * fc.r
+                            key = (p, d, c0, fc.delta)
+                            if key in lambda_keys:
+                                continue
+                            lambda_keys.add(key)
                             for s in range(m + n + 1):
                                 for j in range(m + n - s + 1):
                                     lv = localization.lambda_sum_check(p, d, s, j, c0, fc.delta)

@@ -13,8 +13,8 @@ path against it term for term:
   integer convolutions and sums the products;
 * :func:`reference_in_kahler_triangle` scales a class onto the face and
   reads its barycentric coordinates in ``Fraction``;
-* :func:`reference_sample_face` evaluates F and classifies the region at
-  every lattice point on its own;
+* :func:`reference_sample_face` evaluates the expanded F and classifies the
+  region at every lattice point on its own;
 * :func:`reference_root_sum` evaluates Lambda_j in full at every root of
   unity, one inversion per (s, j, k), by :func:`reference_lambda_at_root`;
 * :func:`reference_component_coeffs` builds a localized component as
@@ -31,7 +31,7 @@ path against it term for term:
 from fractions import Fraction
 from math import lcm
 
-from csck.character import Dims, FixedComponent, KahlerClass
+from csck.character import Dims, FixedComponent, KahlerClass, compute_obstruction
 from csck.cone import (
     REGION_BOUNDARY,
     REGION_INSIDE,
@@ -39,9 +39,8 @@ from csck.cone import (
     REGION_OUTSIDE,
     FacePoint,
     FaceSample,
-    sign_at,
 )
-from csck.exact import binomial
+from csck.exact import binomial, sign
 from csck.localization import CycloElement
 from csck.polynomials import MultiPoly3, TruncSeries2, UniPoly, int_power_table
 
@@ -188,15 +187,16 @@ def reference_in_kahler_triangle(d: Dims, c: KahlerClass) -> str:
 
 
 def reference_sample_face(d: Dims, resolution: int) -> list[FaceSample]:
-    """Every interior lattice point of the face, with F evaluated and the
-    region classified at each point on its own."""
+    """Every interior lattice point of the face, with the expanded F
+    evaluated and the region classified at each point on its own."""
+    F = compute_obstruction(d).F
     samples = []
     for i in range(1, resolution - 1):
         for j in range(1, resolution - i):
             k = resolution - i - j
             point = FacePoint(Fraction(i, resolution), Fraction(j, resolution), Fraction(k, resolution))
             cls = point.as_class()
-            samples.append(FaceSample(point, sign_at(d, cls), reference_in_kahler_triangle(d, cls)))
+            samples.append(FaceSample(point, sign(F.evaluate(cls)), reference_in_kahler_triangle(d, cls)))
     return samples
 
 

@@ -76,3 +76,18 @@ def test_assembly_and_structure_checks_draw_different_classes(monkeypatch):
         assert check().passed
     assert len(drawn[0]) == len(drawn[1]) == 420
     assert drawn[0] != drawn[1]
+
+
+def test_cyclotomic_battery_checks_each_lambda_sum_once(monkeypatch):
+    # components and signs share (p, d, c0, delta), and with it every
+    # lambda-sum verdict; 512 distinct ones, each checked once
+    seen = []
+    real = verification.localization.lambda_sum_check
+
+    def recording(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verification.localization, "lambda_sum_check", recording)
+    assert verification.check_cyclotomic_congruences().passed
+    assert len(seen) == len(set(seen)) == 512

@@ -42,6 +42,11 @@ from oracles import reference_in_kahler_triangle, reference_limit_l1, reference_
 from test_character import shape_segments
 
 
+def _refuse(d, *args):
+    """Stands in for a route to F where a refusal must come before any work."""
+    raise AssertionError(f"F computed for {d}")
+
+
 class TestFaceGeometry:
     def test_vertex_values(self):
         assert vertex_c(Dims(1, 2)) == FacePoint(Fraction(3, 9), Fraction(4, 9), Fraction(2, 9))
@@ -313,12 +318,13 @@ class TestScan:
         assert counts["probes"] >= 1
         assert counts["evaluate"] == 1 + counts["probes"]
 
-    def test_scan_locate_and_evaluate_never_build_f(self, capsys):
+    def test_commands_but_character_never_build_f(self, capsys):
         compute_obstruction.cache_clear()
         for argv in (
             ["scan", "--m", "1..3", "--n", "1..4", "--all-pairs"],
             ["locate", "-m", "2", "-n", "3", "--from", "7/16,7/16,1/8", "--to", "1/3,4/9,2/9"],
             ["evaluate", "-m", "3", "-n", "2", "--class", "3,4,2"],
+            ["sample-face", "-m", "3", "-n", "2", "--resolution", "9"],
         ):
             assert main(argv + ["--no-meta"]) == 0
         capsys.readouterr()
@@ -393,8 +399,8 @@ class TestSampleFace:
 
     @pytest.mark.parametrize("resolution", [5.0, 7.5, True, Fraction(7)])
     def test_non_integer_resolution_rejected(self, resolution, monkeypatch):
-        # refused as Dims refuses a non-integer, before F is built
-        monkeypatch.setattr(cone, "compute_obstruction", None)
+        # refused as Dims refuses a non-integer, before any row is restricted
+        monkeypatch.setattr(cone, "obstruction_on_line", _refuse)
         with pytest.raises(ValueError, match="must be an integer"):
             sample_face(Dims(1, 2), resolution)
 
@@ -504,11 +510,9 @@ class TestDimensionCap:
         ],
     )
     def test_commands_refuse_dims_past_cap_before_building_f(self, argv, capsys, monkeypatch):
-        def refuse(d):
-            raise AssertionError(f"F built for {d}")
-
-        monkeypatch.setattr("csck.cli.compute_obstruction", refuse)
-        monkeypatch.setattr("csck.cone.compute_obstruction", refuse)
+        # character builds F; the other commands work from its shape form
+        for name in ("cli.compute_obstruction", "cli.obstruction_at", "cone.obstruction_at", "cone.obstruction_on_line"):
+            monkeypatch.setattr(f"csck.{name}", _refuse)
         code = main(list(argv) + ["--no-meta"])
         captured = capsys.readouterr()
         assert code == 2
@@ -524,11 +528,8 @@ class TestWidthFloor:
 
     def test_below_floor_rejected_before_building_f(self, monkeypatch):
         assert MIN_WIDTH == Fraction(1, 2**2048)
-
-        def refuse(d):
-            raise AssertionError(f"F built for {d}")
-
-        monkeypatch.setattr("csck.cone.compute_obstruction", refuse)
+        monkeypatch.setattr(cone, "obstruction_at", _refuse)
+        monkeypatch.setattr(cone, "obstruction_on_line", _refuse)
         for width in (MIN_WIDTH / 2, Fraction(0), Fraction(-1)):
             with pytest.raises(ValueError, match="at least 1/2\\^2048"):
                 scan_range(1, 1, 2, 2, width=width)

@@ -22,6 +22,7 @@ from csck.character import (
     anticanonical_class,
     compute_obstruction,
     localized_sum_poly,
+    obstruction_on_line,
 )
 from csck.exact import general_binomial
 from csck.polynomials import (
@@ -580,7 +581,7 @@ def _scan_restrictions():
     restrictions = []
     for m, n in pairs:
         row = cone.scan_pair(m, n)
-        restrictions.append(cone.restrict_f_to_line(Dims(m, n), row.witness_start, row.witness_end))
+        restrictions.append(obstruction_on_line(Dims(m, n), row.witness_start, row.witness_end))
     return restrictions
 
 
@@ -739,31 +740,19 @@ class TestRestrictionAgainstConvolution:
             assert F.restrict_to_line(*ends) == reference_restrict(F, *ends), (m, n)
 
 
-def _face_row_poly(p, x, c):
-    return UniPoly._make(p._face_row(x, c), p._integer_form()[0])
-
-
 class TestFaceRowAgainstRestriction:
-    """The face-row path den * p(x, t, c - t) against restrict_to_line."""
-
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(_RESTRICTION_POLYS, st.integers(-12, 12), st.integers(-12, 12))
-    def test_matches_restrict_to_line(self, p, x, c):
-        assert _face_row_poly(p, x, c) == p.restrict_to_line((x, 0, c), (x, 1, c - 1))
-
-    def test_zero_and_constant(self):
-        assert MultiPoly3()._face_row(3, 5) == []
-        assert _face_row_poly(MultiPoly3(), 3, 5) == UniPoly(())
-        assert _face_row_poly(MultiPoly3({(0, 0, 0): Fraction(-5, 3)}), 2, 7) == UniPoly([Fraction(-5, 3)])
+    """The shape-form face rows F(i, t, R - i - t) that sample-face reads
+    against the expanded F restricted to the same lines."""
 
     def test_rows_of_real_obstructions(self):
         # m < n, m > n and m = n, at face resolutions whose rows reach both edges
         for m, n in ((1, 2), (3, 7), (9, 10), (10, 9), (4, 4)):
-            F = compute_obstruction(Dims(m, n)).F
+            d = Dims(m, n)
+            F = compute_obstruction(d).F
             for r in (3, 17, 60):
                 for i in (1, r // 2, r - 2):
-                    got = _face_row_poly(F, i, r - i)
-                    assert got == F.restrict_to_line((i, 0, r - i), (i, 1, r - i - 1)), (m, n, r, i)
+                    line = ((i, 0, r - i), (i, 1, r - i - 1))
+                    assert obstruction_on_line(d, *line) == F.restrict_to_line(*line), (m, n, r, i)
 
 
 def _fraction_horner(p, point):
