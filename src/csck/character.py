@@ -493,9 +493,7 @@ def localized_sum_poly_direct(d: Dims, eps: int, cls: KahlerClass) -> UniPoly:
     t = 2^B, read back as balanced digits: an independent code path that
     must agree with :func:`localized_sum_poly` exactly."""
     _check_eps(eps)
-    if not cls.is_integral():
-        raise ValueError(f"integral class required, got {cls}")
-    lam, mu, nu = (int(v) for v in cls)
+    lam, mu, nu = _integral_coords(cls)
     m, n = d.m, d.n
     top = m + n + 2
     rows = (
@@ -524,8 +522,8 @@ def assemble_from_localization(d: Dims, cls: KahlerClass) -> Fraction:
     points m+n+1-2i and m+n+2-2i; only the top coefficients survive, which is
     what ties the localization route to the closed polynomial.
     """
+    lam, mu, nu = _integral_coords(cls)
     s_minus, s_plus, s_zero = (_sum_coeffs(d, eps, cls) for eps in (-1, 1, 0))
-    lam, mu, nu = (int(v) for v in cls)
     K = d.m + d.n
     diff = [a - b for a, b in zip(s_minus, s_plus)]
     first = sum((-1) ** i * comb(K + 1, i) * _homogeneous_value(diff, K + 1 - 2 * i, 1) for i in range(K + 2))

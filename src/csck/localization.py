@@ -12,9 +12,11 @@ forms in :mod:`csck.character`:
 * the *cyclotomic route*: the weighted sums Lambda_j evaluated at all p-th
   roots of unity are computed exactly in Q(alpha_p) = Q[t]/(1 + t + ... +
   t^(p-1)), and the mod-p congruence that collapses them to the limit value
-  Lambda_j(1) is checked literally, prime by prime.  Each Lambda_j is
-  evaluated once, at alpha_p; its value at alpha_p^k is the Galois conjugate
-  sigma_k of that, a permutation of its coefficients.
+  Lambda_j(1), a proven closed form, is checked literally, prime by prime.
+  Each Lambda_j is evaluated once, at alpha_p; its value at alpha_p^k is the
+  Galois conjugate sigma_k of that, a permutation of its coefficients.  The
+  T-sum is the series route's extraction sum with these root sums as the
+  weights, where the series value takes the limits Lambda_j(1).
 
 Both routes are slower than the closed forms and run behind the CLI's deep
 verification flag; they are the executable witnesses of the reduction steps
@@ -26,7 +28,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .character import (
     Dims,
@@ -37,7 +39,7 @@ from .character import (
     _check_eps,
     localized_component_poly,
 )
-from .exact import binomial, general_binomial
+from .exact import binomial
 from .polynomials import TruncSeries2
 
 
@@ -118,22 +120,31 @@ def _psi_powers(beta: int, gamma: int, cap: int) -> tuple[TruncSeries2, ...]:
     return tuple(powers)
 
 
+def _extraction_sum(ctx: SeriesContext, weights: Iterable[tuple[int, int, int]]) -> int:
+    """The sum over (s, j, w) in weights of C(m+n+2, s) w [x^m y^n] of
+    (1+x)^m (1+y)^n Phi^j Psi^s, for integer w.  Both series are integral,
+    so the sum stays in integers."""
+    m, n = ctx.dims.m, ctx.dims.n
+    fixed = _fixed_powers(m, n, ctx.fc.delta)
+    psi_pows = _psi_powers(ctx.beta, ctx.gamma, ctx.truncation)
+    total = 0
+    for s, j, w in weights:
+        if w:
+            total += binomial(m + n + 2, s) * w * fixed[j]._product_coefficient(psi_pows[s], (m, n))
+    return total
+
+
 def series_component_value(ctx: SeriesContext) -> Fraction:
     """The component's localized contribution at the context's evaluation
     point, via coefficient extraction; must equal the closed-form polynomial
-    of :func:`csck.character.localized_component_poly` evaluated there."""
-    d, fc = ctx.dims, ctx.fc
-    m, n = d.m, d.n
-    fixed = _fixed_powers(m, n, fc.delta)
-    psi_pows = _psi_powers(ctx.beta, ctx.gamma, ctx.truncation)
-    c0 = ctx.zeta * fc.kappa - ctx.eps * fc.r
-    total = 0  # integral series: the sum stays in integers
-    for s in range(m + n + 1):
-        coeff = binomial(m + n + 2, s) * fc.delta ** (m + n - s + 1) * c0 ** (m + n + 2 - s)
-        if coeff == 0:
-            continue
-        total += coeff * fixed[m + n - s]._product_coefficient(psi_pows[s], (m, n))
-    return Fraction(total)
+    of :func:`csck.character.localized_component_poly` evaluated there.
+
+    It is the extraction sum at the limit weights Lambda_j(1) of
+    :func:`lambda_at_one`, which vanish except at j = m + n - s."""
+    top = ctx.dims.m + ctx.dims.n
+    c0 = ctx.zeta * ctx.fc.kappa - ctx.eps * ctx.fc.r
+    limits = ((s, top - s, _limit_weight(top, s, c0, ctx.fc.delta)) for s in range(top + 1))
+    return Fraction(_extraction_sum(ctx, limits))
 
 
 # -- cyclotomic route ----------------------------------------------------------
@@ -326,62 +337,28 @@ def _root_sums(p: int, d: Dims, c0: int, delta: int) -> tuple[tuple[int, ...], .
     return tuple(sums)
 
 
-def lambda_at_one(d: Dims, s: int, j: int, c0: int, delta: int) -> Fraction:
-    """The limit of Lambda_j at t = 1, by series expansion around t = 1 + u.
+def _limit_weight(top: int, s: int, c0: int, delta: int) -> int:
+    """Lambda_j(1) at j = m + n - s, for m + n = top: delta^(j+1) c0^(top+2-s)."""
+    return delta ** (top - s + 1) * c0 ** (top + 2 - s)
 
-    Returns 0 for j < m + n - s and delta^(m+n-s+1) c0^(m+n+2-s) at
-    j = m + n - s; a genuine pole (denominator vanishing to higher order than
-    the numerator) is an invariant violation, impossible within the
-    precondition 0 <= j <= m + n - s, 0 <= s <= m + n.
+
+def lambda_at_one(d: Dims, s: int, j: int, c0: int, delta: int) -> Fraction:
+    """The limit of Lambda_j at t = 1: 0 for j < m + n - s, and
+    delta^(j+1) c0^(m+n+2-s) at j = m + n - s.
+
+    Proof.  At t = 1 + u, t^e - 1 = e u + O(u^2) for every integer e.  So
+    the numerator t^(s c0 + delta) (t^c0 - 1)^(m+n+2-s) is
+    c0^(m+n+2-s) u^(m+n+2-s) + O(u^(m+n+3-s)), and the denominator
+    (t - 1) (t^delta - 1)^(j+1) is delta^(j+1) u^(j+2) (1 + O(u)), with
+    delta^(j+1) = +-1.  The precondition j <= m + n - s gives
+    j + 2 <= m + n + 2 - s, so there is no pole: the quotient is
+    delta^(j+1) c0^(m+n+2-s) u^(m+n-s-j) + O(u^(m+n-s-j+1)).  The case
+    c0 = 0 needs no branch: the exponent m + n + 2 - s is at least 2, so
+    the formula gives 0, the limit of the zero numerator.
     """
     _check_lambda_indices(d, s, j, delta)
-    return _lambda_limit(d.m + d.n, s, j, c0, delta)
-
-
-@lru_cache(maxsize=1024)
-def _lambda_limit(top: int, s: int, j: int, c0: int, delta: int) -> Fraction:
-    """:func:`lambda_at_one` for m + n = top, on checked indices; the limit
-    depends on m and n only through their sum."""
-    den_order = j + 2
-    cap = den_order
-
-    # integer u-series truncated past u^cap; the only division is the last line
-    def one_plus_u_pow(e: int) -> list[int]:
-        return [general_binomial(e, i) for i in range(cap + 1)]
-
-    def mul(a: list[int], b: list[int]) -> list[int]:
-        out = [0] * (cap + 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for jj, bj in enumerate(b):
-                    if i + jj > cap:
-                        break
-                    if bj:
-                        out[i + jj] += ai * bj
-        return out
-
-    def powered(a: list[int], e: int) -> list[int]:
-        out = [1] + [0] * cap
-        for _ in range(e):
-            out = mul(out, a)
-        return out
-
-    cm1 = one_plus_u_pow(c0)
-    cm1[0] -= 1  # (1+u)^c0 - 1
-    num = mul(one_plus_u_pow(s * c0 + delta), powered(cm1, top + 2 - s))
-    dm1 = one_plus_u_pow(delta)
-    dm1[0] -= 1  # (1+u)^delta - 1
-    den = mul([0, 1] + [0] * (cap - 1), powered(dm1, j + 1))
-    num_order = next((i for i, v in enumerate(num) if v), None)
-    if num_order is None:
-        return Fraction(0)
-    if num_order < den_order:
-        raise InvariantViolation(
-            f"pole in the limit at 1: numerator order {num_order} < denominator order {den_order}"
-        )
-    if num_order > den_order:
-        return Fraction(0)
-    return Fraction(num[den_order], den[den_order])
+    top = d.m + d.n
+    return Fraction(_limit_weight(top, s, c0, delta) if j == top - s else 0)
 
 
 def lambda_sum_check(p: int, d: Dims, s: int, j: int, c0: int, delta: int) -> CheckResult:
@@ -412,31 +389,19 @@ def t_sum_congruence_check(
     point, must be divisible by p.
     """
     _require_odd_prime(p)
-    m, n = d.m, d.n
-    c0 = zeta * fc.kappa - eps * fc.r
-    fixed = _fixed_powers(m, n, fc.delta)
     ctx = build_series_context(d, fc, eps, zeta, cls)
-    psi_pows = _psi_powers(ctx.beta, ctx.gamma, ctx.truncation)
-    sums = _root_sums(p, d, c0, fc.delta)
-    total = 0
-    for s in range(m + n + 1):
-        for j in range(m + n - s + 1):
-            extracted = fixed[j]._product_coefficient(psi_pows[s], (m, n))
-            if extracted:
-                total += binomial(m + n + 2, s) * sums[s][j] * extracted
-    total = Fraction(total)
-    if total.denominator != 1:
-        raise InvariantViolation(f"root-of-unity T-sum is not an integer: {total}")
+    sums = _root_sums(p, d, zeta * fc.kappa - eps * fc.r, fc.delta)
+    total = _extraction_sum(ctx, ((s, j, w) for s, row in enumerate(sums) for j, w in enumerate(row)))
     reference = localized_component_poly(d, fc, eps, cls).evaluate(zeta)
-    passed = (int(total) - int(reference)) % p == 0
+    passed = (total - int(reference)) % p == 0
     return CheckResult(
         "t_sum_congruence",
         passed,
-        str(int(total)),
+        str(total),
         params={
             "p": p,
-            "m": m,
-            "n": n,
+            "m": d.m,
+            "n": d.n,
             "component": fc.index,
             "eps": eps,
             "zeta": zeta,

@@ -338,6 +338,20 @@ class TestFixedComponents:
             fixed_components(Dims(1, 2), KahlerClass(Fraction(1, 2), 1, 1))
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda d, cls: localized_sum_poly(d, 1, cls),
+        lambda d, cls: localized_sum_poly_direct(d, 1, cls),
+        assemble_from_localization,
+    ],
+    ids=["localized_sum_poly", "localized_sum_poly_direct", "assemble_from_localization"],
+)
+def test_localization_entry_points_reject_non_integral_class(entry):
+    with pytest.raises(ValueError, match="integral class"):
+        entry(Dims(1, 2), KahlerClass(Fraction(1, 2), 1, 1))
+
+
 def test_alternating_power_sum_values():
     assert alternating_power_sum(2, 2) == 8
     assert alternating_power_sum(3, 1) == 0

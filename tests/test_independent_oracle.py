@@ -11,6 +11,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from csck.character import Dims, FixedComponent, KahlerClass, _component_value, compute_obstruction
+from csck.localization import lambda_at_one
 
 X, Y, Z = sympy.symbols("x y z")
 
@@ -130,3 +131,19 @@ def test_component_closed_form_identity(m):
             for q in range(max(0, m - s), min(m, m + n - s) + 1)
         )
         assert sympy.expand(_component_value(d, fc, 0, 1) - double_sum) == 0, (m, n)
+
+
+def test_lambda_limit_matches_sympy():
+    # Lambda_j as a rational function of t, cancelled and taken at t = 1,
+    # against the closed form of lambda_at_one
+    t = sympy.symbols("t")
+    for m, n in ((1, 1), (1, 2), (2, 1)):
+        d = Dims(m, n)
+        for s in range(m + n + 1):
+            for j in range(m + n - s + 1):
+                for c0 in (-2, 0, 1, 3):
+                    for delta in (-1, 1):
+                        expr = t ** (s * c0 + delta) * (t**c0 - 1) ** (m + n + 2 - s)
+                        expr /= (t - 1) * (t**delta - 1) ** (j + 1)
+                        limit = sympy.cancel(expr).subs(t, 1)
+                        assert limit == lambda_at_one(d, s, j, c0, delta), (m, n, s, j, c0, delta)

@@ -345,8 +345,8 @@ class TestCongruences:
 
 
 def _fraction_lambda_at_one(d, s, j, c0, delta):
-    """lambda_at_one as it was computed before its u-series moved to integers:
-    every coefficient a Fraction, kept as the reference."""
+    """Lambda_j(1) by its u-series around t = 1 + u, every coefficient a
+    Fraction: the reference for the closed form of lambda_at_one."""
     m, n = d.m, d.n
     den_order = j + 2
     cap = den_order
@@ -393,18 +393,6 @@ class TestLambdaLimitAgainstFractions:
                             value = lambda_at_one(d, s, j, c0, delta)
                             assert type(value) is Fraction
                             assert value == _fraction_lambda_at_one(d, s, j, c0, delta), (m, n, s, j, c0, delta)
-
-    def test_pole_still_raises(self, monkeypatch):
-        # (1+u)^e with constant term 2 makes (1+u)^c0 - 1 a unit, so the
-        # numerator has order 0 below the denominator's j + 2
-        from csck import localization
-
-        # the limits are memoized: a value cached by an earlier test would
-        # be returned without reaching the patched binomials
-        localization._lambda_limit.cache_clear()
-        monkeypatch.setattr(localization, "general_binomial", lambda e, i: 2 if i == 0 else 1)
-        with pytest.raises(InvariantViolation, match="pole"):
-            lambda_at_one(Dims(1, 1), 0, 0, 3, 1)
 
 
 def test_check_result_params_default_is_not_shared():
