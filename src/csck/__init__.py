@@ -11,8 +11,6 @@ from .character import (
     alternating_power_sum,
     anticanonical_class,
     assemble_from_localization,
-    compute_g,
-    compute_h,
     compute_obstruction,
     fixed_components,
     localized_component_poly,
@@ -21,7 +19,6 @@ from .character import (
     slope,
 )
 from .cone import (
-    FacePoint,
     ScanRow,
     SegmentReport,
     in_kahler_triangle,
@@ -81,7 +78,6 @@ __all__ = [
     "CheckResult",
     "CycloElement",
     "Dims",
-    "FacePoint",
     "FixedComponent",
     "InvariantViolation",
     "IsolationResult",
@@ -98,8 +94,6 @@ __all__ = [
     "assemble_from_localization",
     "binomial",
     "build_series_context",
-    "compute_g",
-    "compute_h",
     "compute_obstruction",
     "factorial",
     "fixed_components",

@@ -52,11 +52,6 @@ class Dims(namedtuple("Dims", ("m", "n"))):
 
     _make = classmethod(_make_checked)
 
-    @property
-    def fiber_sum(self) -> int:
-        """m + n, the complex dimension of the base."""
-        return self.m + self.n
-
 
 class KahlerClass(namedtuple("KahlerClass", ("x", "y", "z"))):
     """Coordinates of a second-cohomology class in the basis (u, v, w)."""
@@ -67,9 +62,6 @@ class KahlerClass(namedtuple("KahlerClass", ("x", "y", "z"))):
         return super().__new__(cls, Fraction(x), Fraction(y), Fraction(z))
 
     _make = classmethod(_make_checked)
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self)
 
     def scaled(self, factor: Fraction | int) -> "KahlerClass":
         f = Fraction(factor)
@@ -86,6 +78,8 @@ class FixedComponent(NamedTuple):
     index 1 is the section at fiber point (1, 0), index 2 at (0, 1); their
     rows are (r, kappa, a, b, rho, tau, delta) =
     (-1, -mu, m, n+2, lam-nu, mu, -1) and (1, -mu+nu, m+2, n, lam, mu-nu, 1).
+    It carries its dims and class, so the localization entry points take the
+    component alone.
     """
 
     index: int
@@ -115,7 +109,7 @@ class CharacterPolys(NamedTuple):
             "g": self.g.to_json_terms(),
             "h": self.h.to_json_terms(),
             "F": self.F.to_json_terms(),
-            "degreeF": self.dims.fiber_sum + 4,
+            "degreeF": self.dims.m + self.dims.n + 4,
         }
 
 
@@ -136,36 +130,11 @@ def _shape_weights(d: Dims) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ..
     N = m + n + 2, g = sum_k gu_k U^k Y^(N-k) + gx_k X^k V^(N-k) and
     h = sum_j hu_j U^j Y^(N-1-j) + hx_j X^j V^(N-1-j) over j, k = 0..m.
     With c_j = (n+1) C(N,j) and c_(m+1) = 0, gx = -gu = c and the four
-    scales of :func:`compute_h`, regrouped by the power j of U or X, give
+    scales of h below, regrouped by the power j of U or X, give
     hu_j = -(n+1)(N-j) c_j - m(j+1) c_(j+1) and
-    hx_j = ((n+1)(m+n) - 2(m+1) + (1-n) j) c_j + (m+2)(j+1) c_(j+1)."""
-    m, n = d.m, d.n
-    c = [(n + 1) * comb(m + n + 2, j) for j in range(m + 1)] + [0]
-    hu = [-(n + 1) * (m + n + 2 - j) * c[j] - m * (j + 1) * c[j + 1] for j in range(m + 1)]
-    hx = [((n + 1) * (m + n) - 2 * (m + 1) + (1 - n) * j) * c[j] + (m + 2) * (j + 1) * c[j + 1] for j in range(m + 1)]
-    return (tuple(-w for w in c[:-1]), tuple(hu)), (tuple(c[:-1]), tuple(hx))
+    hx_j = ((n+1)(m+n) - 2(m+1) + (1-n) j) c_j + (m+2)(j+1) c_(j+1).
 
-
-def _shape_terms(d: Dims, which: int) -> dict[Exponent3, int]:
-    """g (which = 0) or h (which = 1) expanded from :func:`_shape_weights`."""
-    degree = d.m + d.n + 2 - which
-    acc: dict[Exponent3, int] = {}
-    for shift_x, weights in zip((True, False), _shape_weights(d)):
-        for j, w in enumerate(weights[which]):
-            _add_shape(acc, w, j, degree - j, shift_x)
-    return {e: v for e, v in acc.items() if v}
-
-
-def _g_terms(d: Dims) -> dict[Exponent3, int]:
-    return _shape_terms(d, 0)
-
-
-def _h_terms(d: Dims) -> dict[Exponent3, int]:
-    return _shape_terms(d, 1)
-
-
-def compute_g(d: Dims) -> MultiPoly3:
-    """The double sum g(x, y, z): homogeneous of degree N = m + n + 2,
+    The double sum g(x, y, z): homogeneous of degree N = m + n + 2,
 
         g = sum_{s,q} c(s,q) [(x-z)^k y^(N-k) - x^k (y-z)^(N-k)],   k = m - q,
 
@@ -199,24 +168,34 @@ def compute_g(d: Dims) -> MultiPoly3:
     sum to (m+n) N! / (m! n!).  Along l1 only q = 0 reaches the limit,
     2 (L (n+2)^(n+1) - (L - 2 S0_0) n^(n+1)) / (n+2)^(n+2) with
     L = (n+1) S1_0 - (m + mn + 2n + n^2) S0_0, and by the moments L = 0.
-    """
-    return MultiPoly3._wrap(_g_terms(d))
 
-
-def compute_h(d: Dims) -> MultiPoly3:
-    """The double sum h(x, y, z): homogeneous of degree m + n + 1,
+    The double sum h(x, y, z): homogeneous of degree m + n + 1,
 
         h = sum_{s,q} c(s,q) [A (x-z)^k y^(N-k-1) + m k (x-z)^(k-1) y^(N-k)
                               + B x^k (y-z)^(N-k-1) - (m+2) k x^(k-1) (y-z)^(N-k)]
 
-    with N, k and c(s,q) as in :func:`compute_g`, A = (N-s) + (n+2)(s-k)
+    with N, k and c(s,q) as for g, A = (N-s) + (n+2)(s-k)
     and B = (N-s) - n(s-k).  A and B are linear in s, so by the moments of
-    :func:`compute_g` the four shapes carry the scales
+    g the four shapes carry the scales
     -(n+1)^2 (N-k) C(N,k), (n+1) ((n+1)(m+n) - 2(m+1) + (1-n) k) C(N,k),
     -m (n+1) k C(N,k) and (m+2) (n+1) k C(N,k).  The last two vanish at
     k = 0, so the exponent k - 1 is never formed negative.
     """
-    return MultiPoly3._wrap(_h_terms(d))
+    m, n = d.m, d.n
+    c = [(n + 1) * comb(m + n + 2, j) for j in range(m + 1)] + [0]
+    hu = [-(n + 1) * (m + n + 2 - j) * c[j] - m * (j + 1) * c[j + 1] for j in range(m + 1)]
+    hx = [((n + 1) * (m + n) - 2 * (m + 1) + (1 - n) * j) * c[j] + (m + 2) * (j + 1) * c[j + 1] for j in range(m + 1)]
+    return (tuple(-w for w in c[:-1]), tuple(hu)), (tuple(c[:-1]), tuple(hx))
+
+
+def _shape_terms(d: Dims, which: int) -> dict[Exponent3, int]:
+    """g (which = 0) or h (which = 1) expanded from :func:`_shape_weights`."""
+    degree = d.m + d.n + 2 - which
+    acc: dict[Exponent3, int] = {}
+    for shift_x, weights in zip((True, False), _shape_weights(d)):
+        for j, w in enumerate(weights[which]):
+            _add_shape(acc, w, j, degree - j, shift_x)
+    return {e: v for e, v in acc.items() if v}
 
 
 @lru_cache(maxsize=None)
@@ -230,8 +209,8 @@ def compute_obstruction(d: Dims) -> CharacterPolys:
     three homogeneity degrees is off; those can only mean a bug.
     """
     m, n = d.m, d.n
-    g_terms = _g_terms(d)
-    h_terms = _h_terms(d)
+    g_terms = _shape_terms(d, 0)
+    h_terms = _shape_terms(d, 1)
     shifts = (((0, 1, 1), -m * (m + 2)), ((1, 0, 1), -n * (n + 2)), ((1, 1, 0), -2))
     acc: dict[Exponent3, int] = {}
     for (ex, ey, ez), c in g_terms.items():
@@ -329,7 +308,7 @@ def anticanonical_class(d: Dims) -> KahlerClass:
 
 
 def _integral_coords(cls: KahlerClass) -> tuple[int, int, int]:
-    if not cls.is_integral():
+    if any(c.denominator != 1 for c in cls):
         raise ValueError(f"fixed-component data needs an integral class, got {cls}")
     return cls.x.numerator, cls.y.numerator, cls.z.numerator
 
@@ -358,19 +337,12 @@ def alternating_power_sum(k: int, l: int) -> int:
 _EPS_VALUES = (-1, 0, 1)
 
 
-def _check_component(d: Dims, fc: FixedComponent, cls: KahlerClass) -> None:
-    if fc.dims != d or fc.cls != cls:
-        raise ValueError(
-            f"fixed component for dims={fc.dims}, cls={fc.cls} used with dims={d}, cls={cls}"
-        )
-
-
 def _check_eps(eps: int) -> None:
     if eps not in _EPS_VALUES:
         raise ValueError(f"eps must be -1, 0 or +1, got {eps}")
 
 
-def localized_component_poly(d: Dims, fc: FixedComponent, eps: int, cls: KahlerClass) -> UniPoly:
+def localized_component_poly(fc: FixedComponent, eps: int) -> UniPoly:
     """One fixed component's share of the localized sum, as a polynomial in
     the evaluation parameter (degree <= m + n + 2).
 
@@ -381,8 +353,7 @@ def localized_component_poly(d: Dims, fc: FixedComponent, eps: int, cls: KahlerC
     dropped so everything stays in the rationals.
     """
     _check_eps(eps)
-    _check_component(d, fc, cls)
-    return UniPoly._make(_component_coeffs(d, fc, eps))
+    return UniPoly._make(_component_coeffs(fc, eps))
 
 
 def _balanced_digits(value: int, shift: int, length: int) -> list[int]:
@@ -416,7 +387,7 @@ def _digit_shift(d: Dims, forms) -> int:
     return (comb(d.m + d.n, d.m) * (2 * size) ** (d.m + d.n + 2)).bit_length() + 2
 
 
-def _component_coeffs(d: Dims, fc: FixedComponent, eps: int) -> list[int]:
+def _component_coeffs(fc: FixedComponent, eps: int) -> list[int]:
     """The integer coefficients of :func:`localized_component_poly`: its
     value at t = 2^B (:func:`_digit_shift`) read back as balanced digits.
 
@@ -433,13 +404,14 @@ def _component_coeffs(d: Dims, fc: FixedComponent, eps: int) -> list[int]:
     N k (r u + t)^(N-1) (1-u)^-1, come off.  Each j-sum is one integer
     Horner: O(m) products by the forms instead of O(mn) convolutions.
     """
+    d = fc.dims
     shift = _digit_shift(d, _forms(fc, eps))
-    return _balanced_digits(_component_value(d, fc, eps, 1 << shift), shift, d.m + d.n + 3)
+    return _balanced_digits(_component_value(fc, eps, 1 << shift), shift, d.m + d.n + 3)
 
 
-def _component_value(d: Dims, fc: FixedComponent, eps: int, x) -> int:
+def _component_value(fc: FixedComponent, eps: int, x) -> int:
     """The closed form of :func:`_component_coeffs` at t = x."""
-    m, n = d.m, d.n
+    m, n = fc.dims
     k, r, t = (c + l * x for c, l in _forms(fc, eps))
     w2 = [(m - j + 1) * comb(m + n + 2, j) for j in range(m + 1)]
     w1 = [comb(m + n + 1, j) for j in range(m + 1)]
@@ -457,7 +429,7 @@ def _sum_form(d: Dims, lam: int, mu: int, nu: int) -> tuple[int, ...]:
     it is sum_i c_i eps^(N-i) t^i."""
     first, second = fixed_components(d, KahlerClass(lam, mu, nu))
     shift = _digit_shift(d, _forms(first, 1) + _forms(second, 1))
-    total = _component_value(d, first, 1, 1 << shift) + _component_value(d, second, 1, 1 << shift)
+    total = _component_value(first, 1, 1 << shift) + _component_value(second, 1, 1 << shift)
     return tuple(_balanced_digits(total, shift, d.m + d.n + 3))
 
 

@@ -350,7 +350,7 @@ def _cmd_sample_face(args: argparse.Namespace) -> int:
     samples = cone.sample_face(_dims(args), args.resolution)
     params = {"m": args.m, "n": args.n, "resolution": args.resolution}
     if args.format == "json":
-        body = {"samples": ({**s.to_json(), **_approx(args, point=(s.point.x, s.point.y, s.point.z))} for s in samples)}
+        body = {"samples": ({**s.to_json(), **_approx(args, point=s.point)} for s in samples)}
     elif args.format == "csv":
         # the cells of _csv, formatted per line: the coordinates are Fractions in [0, 1]
         approx = ",x_approx,y_approx,z_approx" if args.approx else ""
@@ -360,9 +360,7 @@ def _cmd_sample_face(args: argparse.Namespace) -> int:
         )
         body = chain(["x,y,z,sign,region" + approx], lines)
     else:
-        body = (
-            f"({s.point.x}, {s.point.y}, {s.point.z}) sign={SIGN_NAMES[s.sign]} region={s.region}" for s in samples
-        )
+        body = (f"{s.point} sign={SIGN_NAMES[s.sign]} region={s.region}" for s in samples)
     _emit(args, params, body)
     return EXIT_OK
 

@@ -19,12 +19,11 @@ interval by a sign change of the square-free restriction.
 """
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 from typing import Iterator, NamedTuple
 
-from .character import Dims, KahlerClass, _integral, _make_checked, anticanonical_class
+from .character import Dims, KahlerClass, _integral, anticanonical_class
 from .character import obstruction_at, obstruction_on_line
 from .exact import InvariantViolation, binomial, sign
 from .polynomials import RootInterval, UniPoly, _exact_quotient, sturm_isolate
@@ -59,28 +58,9 @@ _EDGE_MIDPOINT = KahlerClass(Fraction(1, 2), Fraction(1, 2), 0)
 _APEX = KahlerClass(0, 0, 1)
 
 
-class FacePoint(namedtuple("FacePoint", ("x", "y", "z"))):
-    """A point of the plane x + y + z = 1 (boundary admitted)."""
-
-    __slots__ = ()
-
-    def __new__(cls, x, y, z):
-        x, y, z = Fraction(x), Fraction(y), Fraction(z)
-        if x + y + z != 1:
-            raise ValueError(f"face point coordinates must sum to 1: ({x}, {y}, {z})")
-        return super().__new__(cls, x, y, z)
-
-    _make = classmethod(_make_checked)
-
-    def as_class(self) -> KahlerClass:
-        return KahlerClass(self.x, self.y, self.z)
-
-
-def vertex_c(d: Dims) -> FacePoint:
+def vertex_c(d: Dims) -> KahlerClass:
     """The anticanonical direction scaled onto the face: (m+2, n+2, 2)/(m+n+6)."""
-    q = Fraction(1, d.m + d.n + 6)
-    c1 = anticanonical_class(d)
-    return FacePoint(c1.x * q, c1.y * q, c1.z * q)
+    return anticanonical_class(d).scaled(Fraction(1, d.m + d.n + 6))
 
 
 def _region(d: Dims, x, y, z) -> str:
@@ -116,7 +96,7 @@ def limit_l1(d: Dims) -> Fraction:
     """Closed form of lim F(l1(t)) / y1(t)^(n+3) as t -> 0+ along the line
     from A to C: -4 (n+1) C(N, m) n^(n+1) / (n+2)^(n+2) with N = m + n + 2,
     negative for every m, n >= 1 (derived in
-    :func:`csck.character.compute_g`)."""
+    :func:`csck.character._shape_weights`)."""
     m, n = d.m, d.n
     return Fraction(-4 * (n + 1) * binomial(m + n + 2, m) * n ** (n + 1), (n + 2) ** (n + 2))
 
@@ -125,7 +105,7 @@ def limit_l2(d: Dims) -> Fraction:
     """Closed form of lim F(l2(t)) / z2(t)^2 as t -> 0+ along the line from
     the AB midpoint to the apex: (m+n) N! / (m! n! 2^N) with N = m + n + 2,
     positive for every m, n >= 1 (derived in
-    :func:`csck.character.compute_g`)."""
+    :func:`csck.character._shape_weights`)."""
     m, n = d.m, d.n
     big_n = m + n + 2
     return Fraction((m + n) * big_n * (big_n - 1) * binomial(m + n, m), 2**big_n)
@@ -149,8 +129,7 @@ class IsolatedRoot(NamedTuple):
 
     def to_json(self) -> dict:
         return {
-            "lo": str(self.interval.lo),
-            "hi": str(self.interval.hi),
+            **self.interval.to_json(),
             "midpoint_class": [str(v) for v in self.midpoint_class],
             "inside_certified": self.inside_certified,
         }
@@ -301,7 +280,7 @@ def scan_pair(m: int, n: int, width: Fraction = DEFAULT_WIDTH) -> ScanRow:
     """
     d = Dims(m, n)
     f_at_c1 = ke_check(d)
-    vc = vertex_c(d).as_class()
+    vc = vertex_c(d)
     positive = _search_signed_point(d, _EDGE_MIDPOINT, _APEX, +1)
     # F is homogeneous and C = c1 / (m+n+6), so F(C) has the sign of F(c1)
     if f_at_c1 < 0:
@@ -372,13 +351,13 @@ def scan_range(
 
 
 class FaceSample(NamedTuple):
-    point: FacePoint
+    point: KahlerClass
     sign: int
     region: str
 
     def to_json(self) -> dict:
         return {
-            "point": [str(self.point.x), str(self.point.y), str(self.point.z)],
+            "point": [str(v) for v in self.point],
             "sign": SIGN_NAMES[self.sign],
             "region": self.region,
         }
@@ -406,8 +385,8 @@ def _face_rows(d: Dims, r: int) -> Iterator[FaceSample]:
     # integer F(i, j, k); row i is F(i, t, R - i - t) restricted from the
     # shape form, with integer ends and so integer coefficients, taken at
     # t = j by plain integer Horner over the reversed row.  The points share
-    # one coordinate table and skip FacePoint's Fraction check: on the
-    # lattice, x + y + z = 1 is the integer identity i + j + k = R.
+    # one coordinate table and skip KahlerClass's Fraction conversion; they
+    # lie on the face x + y + z = 1 by the integer identity i + j + k = R.
     coords = [Fraction(v, r) for v in range(r)]
     for i in range(1, r - 1):
         row = obstruction_on_line(d, (i, 0, r - i), (i, 1, r - i - 1)).nums[::-1]
@@ -419,7 +398,7 @@ def _face_rows(d: Dims, r: int) -> Iterator[FaceSample]:
             for c in row:
                 value = value * j + c
             yield FaceSample(
-                tuple.__new__(FacePoint, (coords[i], coords[j], coords[k])),
+                tuple.__new__(KahlerClass, (coords[i], coords[j], coords[k])),
                 sign(value),
                 _region(d, i, j, k),
             )

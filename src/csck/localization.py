@@ -30,15 +30,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
-from .character import (
-    Dims,
-    FixedComponent,
-    InvariantViolation,
-    KahlerClass,
-    _check_component,
-    _check_eps,
-    localized_component_poly,
-)
+from .character import Dims, FixedComponent, InvariantViolation, _check_eps, localized_component_poly
 from .exact import binomial
 from .polynomials import TruncSeries2
 
@@ -65,19 +57,16 @@ class SeriesContext(NamedTuple):
     Phi = (1+x)^(-delta) (1+y)^delta - 1 and Psi = (1+x)^beta (1+y)^gamma - 1
     with beta = zeta*rho - eps*a, gamma = zeta*tau - eps*b; both are truncated
     at total degree m + n and have no constant term, so only their lowest
-    homogeneous parts can reach the extracted x^m y^n coefficient.
+    homogeneous parts can reach the extracted x^m y^n coefficient.  The
+    dimensions and the class are those of ``fc``; the series themselves are
+    cached by their weights (:func:`_fixed_powers`, :func:`_psi_powers`).
     """
 
-    dims: Dims
     fc: FixedComponent
     eps: int
     zeta: int
-    cls: KahlerClass
     beta: int
     gamma: int
-    truncation: int
-    phi: TruncSeries2
-    psi: TruncSeries2
 
 
 @lru_cache(maxsize=64)
@@ -86,15 +75,9 @@ def _shifted_binomial(e_x: int, e_y: int, cap: int) -> TruncSeries2:
     return TruncSeries2.binomial_series(e_x, e_y, cap) - TruncSeries2.constant(1, cap)
 
 
-def build_series_context(d: Dims, fc: FixedComponent, eps: int, zeta: int, cls: KahlerClass) -> SeriesContext:
+def build_series_context(fc: FixedComponent, eps: int, zeta: int) -> SeriesContext:
     _check_eps(eps)
-    _check_component(d, fc, cls)
-    cap = d.m + d.n
-    beta = zeta * fc.rho - eps * fc.a
-    gamma = zeta * fc.tau - eps * fc.b
-    phi = _shifted_binomial(-fc.delta, fc.delta, cap)
-    psi = _shifted_binomial(beta, gamma, cap)
-    return SeriesContext(d, fc, eps, int(zeta), cls, beta, gamma, cap, phi, psi)
+    return SeriesContext(fc, eps, int(zeta), zeta * fc.rho - eps * fc.a, zeta * fc.tau - eps * fc.b)
 
 
 @lru_cache(maxsize=None)
@@ -124,13 +107,13 @@ def _extraction_sum(ctx: SeriesContext, weights: Iterable[tuple[int, int, int]])
     """The sum over (s, j, w) in weights of C(m+n+2, s) w [x^m y^n] of
     (1+x)^m (1+y)^n Phi^j Psi^s, for integer w.  Both series are integral,
     so the sum stays in integers."""
-    m, n = ctx.dims.m, ctx.dims.n
+    m, n = ctx.fc.dims
     fixed = _fixed_powers(m, n, ctx.fc.delta)
-    psi_pows = _psi_powers(ctx.beta, ctx.gamma, ctx.truncation)
+    psi_pows = _psi_powers(ctx.beta, ctx.gamma, m + n)
     total = 0
     for s, j, w in weights:
         if w:
-            total += binomial(m + n + 2, s) * w * fixed[j]._product_coefficient(psi_pows[s], (m, n))
+            total += binomial(m + n + 2, s) * w * fixed[j].product_coefficient(psi_pows[s], (m, n))
     return total
 
 
@@ -141,7 +124,7 @@ def series_component_value(ctx: SeriesContext) -> Fraction:
 
     It is the extraction sum at the limit weights Lambda_j(1) of
     :func:`lambda_at_one`, which vanish except at j = m + n - s."""
-    top = ctx.dims.m + ctx.dims.n
+    top = ctx.fc.dims.m + ctx.fc.dims.n
     c0 = ctx.zeta * ctx.fc.kappa - ctx.eps * ctx.fc.r
     limits = ((s, top - s, _limit_weight(top, s, c0, ctx.fc.delta)) for s in range(top + 1))
     return Fraction(_extraction_sum(ctx, limits))
@@ -378,9 +361,7 @@ def lambda_sum_check(p: int, d: Dims, s: int, j: int, c0: int, delta: int) -> Ch
     )
 
 
-def t_sum_congruence_check(
-    p: int, d: Dims, fc: FixedComponent, eps: int, zeta: int, cls: KahlerClass
-) -> CheckResult:
+def t_sum_congruence_check(p: int, fc: FixedComponent, eps: int, zeta: int) -> CheckResult:
     """Recompute one component's root-of-unity sum from the pre-reduction
     display and check it against the reduced closed form modulo p.
 
@@ -389,10 +370,11 @@ def t_sum_congruence_check(
     point, must be divisible by p.
     """
     _require_odd_prime(p)
-    ctx = build_series_context(d, fc, eps, zeta, cls)
+    ctx = build_series_context(fc, eps, zeta)
+    d = fc.dims
     sums = _root_sums(p, d, zeta * fc.kappa - eps * fc.r, fc.delta)
     total = _extraction_sum(ctx, ((s, j, w) for s, row in enumerate(sums) for j, w in enumerate(row)))
-    reference = localized_component_poly(d, fc, eps, cls).evaluate(zeta)
+    reference = localized_component_poly(fc, eps).evaluate(zeta)
     passed = (total - int(reference)) % p == 0
     return CheckResult(
         "t_sum_congruence",
@@ -405,6 +387,6 @@ def t_sum_congruence_check(
             "component": fc.index,
             "eps": eps,
             "zeta": zeta,
-            "cls": [str(v) for v in cls],
+            "cls": [str(v) for v in fc.cls],
         },
     )

@@ -436,14 +436,10 @@ class TruncSeries2:
     def coefficient(self, exponent: Sequence[int]) -> Fraction:
         return Fraction(self._terms.get(self._retained(exponent), 0))
 
-    def product_coefficient(self, other: "TruncSeries2", exponent: Sequence[int]) -> Fraction:
+    def product_coefficient(self, other: "TruncSeries2", exponent: Sequence[int]) -> Fraction | int:
         """The coefficient of ``self * other`` at ``exponent``, without
-        forming the product: one lookup in ``other`` per term of ``self``."""
-        return Fraction(self._product_coefficient(other, exponent))
-
-    def _product_coefficient(self, other: "TruncSeries2", exponent: Sequence[int]) -> Fraction | int:
-        """:meth:`product_coefficient` as summed, an ``int`` when both series
-        are integral."""
+        forming the product: one lookup in ``other`` per term of ``self``.
+        It is returned as summed, an ``int`` when both series are integral."""
         self._check(other)
         e0, e1 = self._retained(exponent)
         theirs = other._terms

@@ -170,9 +170,9 @@ def check_series_oracle() -> CheckResult:
         for cls in classes:
             for fc in fixed_components(d, cls):
                 for eps in (-1, 0, 1):
-                    closed = localized_component_poly(d, fc, eps, cls)
+                    closed = localized_component_poly(fc, eps)
                     for zeta in range(-3, 4):
-                        ctx = localization.build_series_context(d, fc, eps, zeta, cls)
+                        ctx = localization.build_series_context(fc, eps, zeta)
                         if localization.series_component_value(ctx) != closed.evaluate(zeta):
                             bad.append((m, n, fc.index, eps, zeta, cls))
     ok = "series route equals closed forms on the full grid"
@@ -201,8 +201,7 @@ def check_vanishing_orders() -> CheckResult:
     for m, n in _backed_pairs():
         d = Dims(m, n)
         a = (Fraction(1), Fraction(0), Fraction(0))
-        c = cone.vertex_c(d)
-        lines = ((a, (c.x, c.y, c.z)), ((Fraction(1, 2), Fraction(1, 2), Fraction(0)), (0, 0, 1)))
+        lines = ((a, cone.vertex_c(d)), ((Fraction(1, 2), Fraction(1, 2), Fraction(0)), (0, 0, 1)))
         f_l1, f_l2 = (obstruction_on_line(d, *ends) for ends in lines)
         for name, f, ends in zip(("shape l1", "shape l2"), (f_l1, f_l2), lines):
             if f != compute_obstruction(d).F.restrict_to_line(*ends):
@@ -228,7 +227,7 @@ def check_root_isolation() -> CheckResult:
     start = time.perf_counter()
     d = Dims(1, 2)
     positive = cone._search_signed_point(d, cone._EDGE_MIDPOINT, cone._APEX, +1)
-    negative = cone.vertex_c(d).as_class()
+    negative = cone.vertex_c(d)
     problems = []
     if positive is None:
         problems.append("no positive point found on l2")
@@ -299,7 +298,7 @@ def check_cyclotomic_congruences() -> CheckResult:
                 for fc in fixed_components(d, cls):
                     for eps in (-1, 0, 1):
                         for zeta in (1, 2):
-                            verdict = localization.t_sum_congruence_check(p, d, fc, eps, zeta, cls)
+                            verdict = localization.t_sum_congruence_check(p, fc, eps, zeta)
                             if not verdict.passed:
                                 bad.append(verdict.params)
                             c0 = zeta * fc.kappa - eps * fc.r

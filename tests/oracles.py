@@ -37,7 +37,6 @@ from csck.cone import (
     REGION_INSIDE,
     REGION_NOT_NORMALIZABLE,
     REGION_OUTSIDE,
-    FacePoint,
     FaceSample,
 )
 from csck.exact import binomial, sign
@@ -194,9 +193,8 @@ def reference_sample_face(d: Dims, resolution: int) -> list[FaceSample]:
     for i in range(1, resolution - 1):
         for j in range(1, resolution - i):
             k = resolution - i - j
-            point = FacePoint(Fraction(i, resolution), Fraction(j, resolution), Fraction(k, resolution))
-            cls = point.as_class()
-            samples.append(FaceSample(point, sign(F.evaluate(cls)), reference_in_kahler_triangle(d, cls)))
+            point = KahlerClass(Fraction(i, resolution), Fraction(j, resolution), Fraction(k, resolution))
+            samples.append(FaceSample(point, sign(F.evaluate(point)), reference_in_kahler_triangle(d, point)))
     return samples
 
 

@@ -19,8 +19,6 @@ from csck.character import (
     alternating_power_sum,
     anticanonical_class,
     assemble_from_localization,
-    compute_g,
-    compute_h,
     compute_obstruction,
     fixed_components,
     localized_component_poly,
@@ -61,27 +59,28 @@ class TestGH:
     def test_g_vanishes_at_z_zero(self):
         # canonical form: g(x, y, 0) == 0 means no stored term is z-free
         for m, n in ((1, 1), (1, 2), (2, 3), (3, 1)):
-            g = compute_g(Dims(m, n))
+            g = compute_obstruction(Dims(m, n)).g
             assert all(e[2] >= 1 for e, _ in g.terms())
 
     def test_g_homogeneous(self):
         for m, n in ((1, 2), (2, 2), (4, 3)):
-            assert compute_g(Dims(m, n)).is_homogeneous(m + n + 2)
+            assert compute_obstruction(Dims(m, n)).g.is_homogeneous(m + n + 2)
 
     def test_h_homogeneous(self):
         for m, n in ((1, 2), (2, 2), (4, 3)):
-            assert compute_h(Dims(m, n)).is_homogeneous(m + n + 1)
+            assert compute_obstruction(Dims(m, n)).h.is_homogeneous(m + n + 1)
 
     def test_frozen_1_1_tables(self):
-        assert dict(compute_g(Dims(1, 1)).terms()) == {e: Fraction(c) for e, c in G_1_1.items()}
-        assert dict(compute_h(Dims(1, 1)).terms()) == {e: Fraction(c) for e, c in H_1_1.items()}
+        polys = compute_obstruction(Dims(1, 1))
+        assert dict(polys.g.terms()) == {e: Fraction(c) for e, c in G_1_1.items()}
+        assert dict(polys.h.terms()) == {e: Fraction(c) for e, c in H_1_1.items()}
 
     def test_g_value_frozen(self):
-        assert compute_g(Dims(1, 1)).evaluate((2, 3, 1)) == -218
+        assert compute_obstruction(Dims(1, 1)).g.evaluate((2, 3, 1)) == -218
 
     def test_golden_combination(self):
         d = Dims(1, 2)
-        g, h = compute_g(d), compute_h(d)
+        g, h = compute_obstruction(d).g, compute_obstruction(d).h
         prefactor = MultiPoly3({(0, 1, 1): -3, (1, 0, 1): -8, (1, 1, 0): -2})
         assert poly_sum(poly_product(prefactor, g), poly_product(MultiPoly3({(1, 1, 1): 1}), h)) == F_1_2
 
@@ -124,8 +123,8 @@ class TestObstruction:
 def _assert_build_matches_reference(d):
     polys = compute_obstruction(d)
     g, h = reference_g(d), reference_h(d)
-    assert dict(polys.g.terms()) == dict(compute_g(d).terms()) == dict(g.terms()), d
-    assert dict(polys.h.terms()) == dict(compute_h(d).terms()) == dict(h.terms()), d
+    assert dict(polys.g.terms()) == dict(g.terms()), d
+    assert dict(polys.h.terms()) == dict(h.terms()), d
     assert dict(polys.F.terms()) == dict(reference_F(d, g, h).terms()), d
 
 
@@ -217,11 +216,12 @@ def test_f_is_z_squared_times_an_irreducible():
             assert sympy.Poly(rest, x, y, z).total_degree() == m + n + 2, (m, n)
 
 
-def _recorded_shapes(monkeypatch, terms, d):
-    """The (scale, e_x, e_y, shift_x) of every shape a term builder adds."""
+def _recorded_shapes(monkeypatch, d, which):
+    """The (scale, e_x, e_y, shift_x) of every shape the build of g
+    (which = 0) or h (which = 1) adds."""
     shapes = []
     monkeypatch.setattr(character, "_add_shape", lambda acc, *shape: shapes.append(shape))
-    terms(d)
+    character._shape_terms(d, which)
     return shapes
 
 
@@ -252,8 +252,8 @@ class TestClosedFormWeights:
             for scale, *shape in h_shapes:
                 grouped[tuple(shape)] = grouped.get(tuple(shape), 0) + scale
             h_shapes = [(scale, *shape) for shape, scale in grouped.items()]
-            assert sorted(_recorded_shapes(monkeypatch, character._g_terms, d)) == sorted(g_shapes), d
-            assert sorted(_recorded_shapes(monkeypatch, character._h_terms, d)) == sorted(h_shapes), d
+            assert sorted(_recorded_shapes(monkeypatch, d, 0)) == sorted(g_shapes), d
+            assert sorted(_recorded_shapes(monkeypatch, d, 1)) == sorted(h_shapes), d
 
 
 # Corrupted integer builds: one term of the wrong degree in g, then a g term
@@ -268,14 +268,15 @@ from fractions import Fraction
 from csck import character
 from csck.exact import InvariantViolation
 
-real = character._g_terms
+real = character._shape_terms
 
-def corrupted(d):
-    terms = real(d)
-    {edit}
+def corrupted(d, which):
+    terms = real(d, which)
+    if which == 0:
+        {edit}
     return terms
 
-character._g_terms = corrupted
+character._shape_terms = corrupted
 try:
     character.compute_obstruction(character.Dims(1, 2))
 except InvariantViolation as exc:
@@ -374,14 +375,14 @@ class TestLocalizedSums:
         d = Dims(1, 1)
         cls = KahlerClass(1, 1, 1)
         first, _ = fixed_components(d, cls)
-        poly = localized_component_poly(d, first, 1, cls)
+        poly = localized_component_poly(first, 1)
         assert list(poly.coefficients()) == [-42, 104, -84, 24, -2]
 
     def test_component_eps_zero_is_monomial(self):
         d = Dims(2, 3)
         cls = KahlerClass(1, 1, 1)
         for fc in fixed_components(d, cls):
-            poly = localized_component_poly(d, fc, 0, cls)
+            poly = localized_component_poly(fc, 0)
             assert all(c == 0 for c in poly.coefficients()[:-1])
             assert poly.degree in (-1, d.m + d.n + 2)
 
@@ -403,7 +404,7 @@ class TestLocalizedSums:
         d = Dims(1, 1)
         cls = KahlerClass(2, 3, 1)
         s = localized_sum_poly(d, 0, cls)
-        assert s == UniPoly([0, 0, 0, 0, compute_g(d).evaluate(cls)])
+        assert s == UniPoly([0, 0, 0, 0, compute_obstruction(d).g.evaluate(cls)])
 
     def test_direct_path_agrees(self):
         rng = random.Random(4242)
@@ -424,13 +425,7 @@ class TestLocalizedSums:
                     for fc in fixed_components(d, cls):
                         for eps in (-1, 0, 1):
                             expected = reference_component_coeffs(d, fc, eps)
-                            assert _component_coeffs(d, fc, eps) == expected, (m, n, fc.index, eps)
-
-    def test_mismatched_component_rejected(self):
-        d = Dims(1, 2)
-        fc = fixed_components(d, KahlerClass(3, 4, 2))[0]
-        with pytest.raises(ValueError):
-            localized_component_poly(d, fc, 0, KahlerClass(1, 1, 1))
+                            assert _component_coeffs(fc, eps) == expected, (m, n, fc.index, eps)
 
     def test_bad_eps_rejected(self):
         d = Dims(1, 2)
@@ -481,7 +476,7 @@ class TestKronecker:
             for cls in self._EXTREME_CLASSES:
                 for eps in (-1, 0, 1):
                     for fc in fixed_components(d, cls):
-                        assert _component_coeffs(d, fc, eps) == reference_component_coeffs(d, fc, eps), (m, n, cls)
+                        assert _component_coeffs(fc, eps) == reference_component_coeffs(d, fc, eps), (m, n, cls)
                     assert localized_sum_poly_direct(d, eps, cls) == _unfactored_direct(d, eps, cls), (m, n, cls)
 
     def test_far_pair_assembly_is_exact(self):
@@ -578,5 +573,5 @@ def test_localized_paths_match_unfactored_double_sum(m):
         for cls in _REFERENCE_CLASSES:
             for eps in (-1, 0, 1):
                 for fc in fixed_components(d, cls):
-                    assert localized_component_poly(d, fc, eps, cls) == _unfactored_component(d, fc, eps), (m, n)
+                    assert localized_component_poly(fc, eps) == _unfactored_component(d, fc, eps), (m, n)
                 assert localized_sum_poly_direct(d, eps, cls) == _unfactored_direct(d, eps, cls), (m, n)

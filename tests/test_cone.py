@@ -21,7 +21,6 @@ from csck.cone import (
     MAX_JOBS,
     MAX_RESOLUTION,
     MIN_WIDTH,
-    FacePoint,
     REGION_BOUNDARY,
     REGION_INSIDE,
     REGION_NOT_NORMALIZABLE,
@@ -49,17 +48,14 @@ def _refuse(d, *args):
 
 class TestFaceGeometry:
     def test_vertex_values(self):
-        assert vertex_c(Dims(1, 2)) == FacePoint(Fraction(3, 9), Fraction(4, 9), Fraction(2, 9))
-        assert vertex_c(Dims(1, 1)) == FacePoint(Fraction(3, 8), Fraction(3, 8), Fraction(2, 8))
+        assert vertex_c(Dims(1, 2)) == KahlerClass(Fraction(3, 9), Fraction(4, 9), Fraction(2, 9))
+        assert vertex_c(Dims(1, 1)) == KahlerClass(Fraction(3, 8), Fraction(3, 8), Fraction(2, 8))
+        assert type(vertex_c(Dims(1, 2))) is KahlerClass
 
     def test_vertex_coordinates_sum_to_one(self):
         for m, n in ((1, 2), (4, 7), (9, 10)):
             c = vertex_c(Dims(m, n))
             assert c.x + c.y + c.z == 1
-
-    def test_face_point_validation(self):
-        with pytest.raises(ValueError):
-            FacePoint(1, 1, 1)
 
     def test_centroid_inside(self):
         assert in_kahler_triangle(Dims(1, 2), KahlerClass(Fraction(4, 9), Fraction(13, 27), Fraction(2, 27))) == REGION_INSIDE
@@ -84,7 +80,6 @@ class TestFaceGeometry:
 _VALIDATED = [
     pytest.param(Dims(1, 2), "m", 0, id="Dims"),
     pytest.param(KahlerClass(1, 2, 3), "x", "a", id="KahlerClass"),
-    pytest.param(FacePoint(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)), "x", Fraction(1, 2), id="FacePoint"),
 ]
 
 
@@ -200,7 +195,7 @@ def _assert_intervals_match_the_expanded_restriction(d, start, end, width):
 class TestSegments:
     def test_sign_change_yields_interval(self):
         d = Dims(1, 2)
-        report = isolate_on_segment(d, KahlerClass(Fraction(7, 16), Fraction(7, 16), Fraction(1, 8)), vertex_c(d).as_class())
+        report = isolate_on_segment(d, KahlerClass(Fraction(7, 16), Fraction(7, 16), Fraction(1, 8)), vertex_c(d))
         assert report.sign_start == 1 and report.sign_end == -1
         assert len(report.roots) >= 1
         assert all(r.inside_certified for r in report.roots)
@@ -243,7 +238,7 @@ class TestSegments:
         # the segment ends on AB, where z = 0 and F vanishes: the zero at t = 1
         # is isolated by an interval reaching past the segment, not certified
         d = Dims(1, 2)
-        report = isolate_on_segment(d, vertex_c(d).as_class(), KahlerClass(Fraction(1, 2), Fraction(1, 2), 0))
+        report = isolate_on_segment(d, vertex_c(d), KahlerClass(Fraction(1, 2), Fraction(1, 2), 0))
         assert report.sign_end == 0
         last = report.roots[-1]
         assert (last.interval.lo, last.interval.hi) == (Fraction(2097151, 2097152), Fraction(2097153, 2097152))
@@ -265,7 +260,7 @@ class TestSegments:
 
     def test_json_shape(self):
         d = Dims(1, 2)
-        report = isolate_on_segment(d, KahlerClass(Fraction(7, 16), Fraction(7, 16), Fraction(1, 8)), vertex_c(d).as_class())
+        report = isolate_on_segment(d, KahlerClass(Fraction(7, 16), Fraction(7, 16), Fraction(1, 8)), vertex_c(d))
         obj = report.to_json()
         assert obj["sign_from"] == "positive" and obj["sign_to"] == "negative"
         assert obj["intervals"] and {"lo", "hi", "midpoint_class", "inside_certified"} <= set(obj["intervals"][0])
@@ -380,6 +375,7 @@ class TestSampleFace:
         samples = list(sample_face(Dims(1, 2), 3))
         assert len(samples) == 1
         only = samples[0]
+        assert type(only.point) is KahlerClass
         assert (only.point.x, only.point.y, only.point.z) == (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 
     def test_anticanonical_direction_sampled_negative(self):
@@ -419,7 +415,7 @@ class TestSampleFace:
     def test_zero_and_boundary_rows(self):
         # m = n puts the vertex C = (3, 3, 2)/8 on the lattice, where F(c1) = 0
         samples = list(sample_face(Dims(1, 1), 8))
-        at_c = [s for s in samples if s.point == FacePoint(Fraction(3, 8), Fraction(3, 8), Fraction(1, 4))]
+        at_c = [s for s in samples if s.point == KahlerClass(Fraction(3, 8), Fraction(3, 8), Fraction(1, 4))]
         assert [(s.sign, s.region) for s in at_c] == [(0, REGION_BOUNDARY)]
         assert sum(s.sign == 0 for s in samples) > 1
 

@@ -88,7 +88,7 @@ def test_line_restriction_matches_substitution():
 
 
 def test_limit_l2_proof_steps():
-    # the two symbolic steps of the limit_l2 derivation in compute_g's
+    # the two symbolic steps of the limit_l2 derivation in _shape_weights'
     # docstring, from the bracket and the closed moments S0_q, S1_q
     m, n, k = sympy.symbols("m n k", integer=True, positive=True)
     big_n = m + n + 2
@@ -130,7 +130,7 @@ def test_component_closed_form_identity(m):
             for s in range(m + n + 1)
             for q in range(max(0, m - s), min(m, m + n - s) + 1)
         )
-        assert sympy.expand(_component_value(d, fc, 0, 1) - double_sum) == 0, (m, n)
+        assert sympy.expand(_component_value(fc, 0, 1) - double_sum) == 0, (m, n)
 
 
 def test_lambda_limit_matches_sympy():

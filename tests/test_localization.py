@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csck import localization
+from csck import character, localization
 from csck.character import Dims, InvariantViolation, KahlerClass, fixed_components, localized_component_poly
 from csck.exact import general_binomial
 from csck.localization import (
@@ -24,14 +24,24 @@ from csck.localization import (
 from oracles import reference_root_sum
 
 
+def _no_work(*args):
+    raise AssertionError("work done before the arguments were checked")
+
+
 class TestSeriesContext:
+    def test_fields(self):
+        fc = fixed_components(Dims(1, 2), KahlerClass(3, 4, 2))[1]
+        ctx = build_series_context(fc, -1, 2)
+        assert ctx._fields == ("fc", "eps", "zeta", "beta", "gamma")
+        assert ctx == (fc, -1, 2, 2 * fc.rho + fc.a, 2 * fc.tau + fc.b)
+
     def test_phi_for_positive_delta(self):
         d = Dims(1, 1)
         cls = KahlerClass(1, 1, 1)
         second = fixed_components(d, cls)[1]  # delta = +1
-        ctx = build_series_context(d, second, 0, 0, cls)
+        phi = localization._shifted_binomial(-second.delta, second.delta, d.m + d.n)
         # (1+x)^-1 (1+y) - 1 truncated at degree 2
-        assert dict(ctx.phi.terms()) == {
+        assert dict(phi.terms()) == {
             (1, 0): Fraction(-1),
             (0, 1): Fraction(1),
             (2, 0): Fraction(1),
@@ -42,35 +52,61 @@ class TestSeriesContext:
         d = Dims(1, 1)
         cls = KahlerClass(0, 0, 0)
         first = fixed_components(d, cls)[0]
-        ctx = build_series_context(d, first, 0, 3, cls)  # rho = tau = 0
+        ctx = build_series_context(first, 0, 3)  # rho = tau = 0
         assert ctx.beta == 0 and ctx.gamma == 0
-        assert ctx.psi.is_zero()
+        assert localization._shifted_binomial(ctx.beta, ctx.gamma, d.m + d.n).is_zero()
 
     def test_psi_direct_expansion(self):
         d = Dims(1, 1)
         cls = KahlerClass(1, 1, 0)
         first = fixed_components(d, cls)[0]  # rho = 1, tau = 1
-        ctx = build_series_context(d, first, 0, 1, cls)
+        ctx = build_series_context(first, 0, 1)
         assert ctx.beta == 1 and ctx.gamma == 1
-        assert dict(ctx.psi.terms()) == {(1, 0): Fraction(1), (0, 1): Fraction(1), (1, 1): Fraction(1)}
+        psi = localization._shifted_binomial(ctx.beta, ctx.gamma, d.m + d.n)
+        assert dict(psi.terms()) == {(1, 0): Fraction(1), (0, 1): Fraction(1), (1, 1): Fraction(1)}
 
-    def test_mismatched_class_rejected(self):
-        d = Dims(1, 1)
-        fc = fixed_components(d, KahlerClass(1, 1, 1))[0]
-        with pytest.raises(ValueError):
-            build_series_context(d, fc, 0, 1, KahlerClass(2, 2, 2))
+
+class TestEntryPointsRefuseBadEps:
+    """Each entry point of the localization route refuses an eps outside
+    {-1, 0, 1} before any sum is formed."""
+
+    @pytest.fixture
+    def fc(self, monkeypatch):
+        for module, name in (
+            (character, "_component_coeffs"),
+            (localization, "SeriesContext"),
+            (localization, "_root_sums"),
+            (localization, "_extraction_sum"),
+        ):
+            monkeypatch.setattr(module, name, _no_work)
+        return fixed_components(Dims(1, 2), KahlerClass(3, 4, 2))[0]
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda fc: localized_component_poly(fc, 2),
+            lambda fc: build_series_context(fc, -2, 1),
+            lambda fc: t_sum_congruence_check(3, fc, 2, 1),
+        ],
+        ids=["localized_component_poly", "build_series_context", "t_sum_congruence_check"],
+    )
+    def test_bad_eps_rejected_before_any_work(self, fc, entry):
+        with pytest.raises(ValueError, match="eps must be"):
+            entry(fc)
+
 
 
 class TestSeriesRoute:
     def test_matches_closed_form_on_grid(self):
-        for m, n in ((1, 1), (1, 2)):
+        # (1, 2) and (2, 1) fail if fc.dims is read in the wrong order
+        for m, n in ((1, 1), (1, 2), (2, 1)):
             d = Dims(m, n)
             for cls in (KahlerClass(1, 1, 1), KahlerClass(3, 4, 2)):
                 for fc in fixed_components(d, cls):
                     for eps in (-1, 0, 1):
-                        closed = localized_component_poly(d, fc, eps, cls)
+                        closed = localized_component_poly(fc, eps)
                         for zeta in (-2, 0, 1, 3):
-                            ctx = build_series_context(d, fc, eps, zeta, cls)
+                            ctx = build_series_context(fc, eps, zeta)
                             assert series_component_value(ctx) == closed.evaluate(zeta)
 
     def test_zero_weight_base_contributes_nothing(self):
@@ -78,9 +114,9 @@ class TestSeriesRoute:
         d = Dims(1, 2)
         cls = KahlerClass(1, 0, 1)  # kappa = -mu = 0 for the first component
         first = fixed_components(d, cls)[0]
-        ctx = build_series_context(d, first, 0, 5, cls)
+        ctx = build_series_context(first, 0, 5)
         assert series_component_value(ctx) == 0
-        assert localized_component_poly(d, first, 0, cls).evaluate(5) == 0
+        assert localized_component_poly(first, 0).evaluate(5) == 0
 
 
 class TestSeriesRouteFar:
@@ -92,8 +128,8 @@ class TestSeriesRouteFar:
         d = Dims(m, n)
         cls = KahlerClass(3, 4, 2)
         for fc in fixed_components(d, cls):
-            ctx = build_series_context(d, fc, 1, 2, cls)
-            assert series_component_value(ctx) == localized_component_poly(d, fc, 1, cls).evaluate(2)
+            ctx = build_series_context(fc, 1, 2)
+            assert series_component_value(ctx) == localized_component_poly(fc, 1).evaluate(2)
 
 
 class TestCycloElement:
@@ -214,7 +250,7 @@ L._lambda_row = _row
 d, cls = Dims(1, 1), KahlerClass(1, 1, 1)
 checks = {
     "lambda_sum_check": lambda: L.lambda_sum_check(3, d, 2, 0, 1, 1),
-    "t_sum_congruence_check": lambda: L.t_sum_congruence_check(3, d, fixed_components(d, cls)[0], 0, 1, cls),
+    "t_sum_congruence_check": lambda: L.t_sum_congruence_check(3, fixed_components(d, cls)[0], 0, 1),
 }
 for name, check in checks.items():
     try:
@@ -309,23 +345,26 @@ class TestCongruences:
         d = Dims(1, 1)
         cls = KahlerClass(1, 1, 1)
         first = fixed_components(d, cls)[0]
-        verdict = t_sum_congruence_check(3, d, first, 0, 1, cls)
+        verdict = t_sum_congruence_check(3, first, 0, 1)
         assert verdict.passed
 
     def test_t_sum_p5(self):
         d = Dims(1, 2)
         cls = KahlerClass(3, 4, 2)
         second = fixed_components(d, cls)[1]
-        verdict = t_sum_congruence_check(5, d, second, -1, 2, cls)
+        verdict = t_sum_congruence_check(5, second, -1, 2)
         assert verdict.passed
         assert verdict.to_json()["pass"] is True
 
-    def test_t_sum_composite_p_rejected(self):
+    def test_t_sum_composite_p_rejected(self, monkeypatch):
+        # refused before any sum is formed
+        for name in ("SeriesContext", "_root_sums", "_extraction_sum"):
+            monkeypatch.setattr(localization, name, _no_work)
         d = Dims(1, 1)
         cls = KahlerClass(1, 1, 1)
         first = fixed_components(d, cls)[0]
-        with pytest.raises(ValueError):
-            t_sum_congruence_check(9, d, first, 0, 1, cls)
+        with pytest.raises(ValueError, match="odd prime"):
+            t_sum_congruence_check(9, first, 0, 1)
 
     @pytest.mark.parametrize("flags", [(), ("-O",)])
     def test_non_integral_root_sum_rejected(self, flags):

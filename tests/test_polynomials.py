@@ -922,10 +922,12 @@ class TestTruncSeriesAgainstFractions:
     def test_product_coefficient_matches_product(self, a, b):
         sa, sb = TruncSeries2(_SERIES_CAP, a), TruncSeries2(_SERIES_CAP, b)
         product = sa * sb
+        # returned as summed: integral series sum in integers
+        integral = all(Fraction(c).denominator == 1 for c in (*a.values(), *b.values()))
         for i in range(_SERIES_CAP + 1):
             for j in range(_SERIES_CAP + 1 - i):
                 value = sa.product_coefficient(sb, (i, j))
-                assert type(value) is Fraction
+                assert type(value) is int if integral else type(value) in (int, Fraction)
                 assert value == product.coefficient((i, j)), (i, j)
 
     def test_product_coefficient_rejects_what_coefficient_rejects(self):
