@@ -44,39 +44,8 @@ from .polynomials import (
 
 __version__ = "0.1.0"
 
-# Only ``verify`` uses these; importing csck.localization on first access
-# keeps its load and compile off every other command.
-_LOCALIZATION_NAMES = frozenset(
-    {
-        "CheckResult",
-        "CycloElement",
-        "SeriesContext",
-        "build_series_context",
-        "lambda_at_one",
-        "lambda_sum_check",
-        "series_component_value",
-        "t_sum_congruence_check",
-    }
-)
-
-
-def __getattr__(name: str):
-    if name not in _LOCALIZATION_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import localization
-
-    value = getattr(localization, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | _LOCALIZATION_NAMES)
-
 __all__ = [
     "CharacterPolys",
-    "CheckResult",
-    "CycloElement",
     "Dims",
     "FixedComponent",
     "InvariantViolation",
@@ -86,22 +55,18 @@ __all__ = [
     "RootInterval",
     "ScanRow",
     "SegmentReport",
-    "SeriesContext",
     "TruncSeries2",
     "UniPoly",
     "alternating_power_sum",
     "anticanonical_class",
     "assemble_from_localization",
     "binomial",
-    "build_series_context",
     "compute_obstruction",
     "factorial",
     "fixed_components",
     "in_kahler_triangle",
     "isolate_on_segment",
     "ke_check",
-    "lambda_at_one",
-    "lambda_sum_check",
     "limit_l1",
     "limit_l2",
     "localized_component_poly",
@@ -111,10 +76,8 @@ __all__ = [
     "sample_face",
     "scan_pair",
     "scan_range",
-    "series_component_value",
     "sign_at",
     "slope",
     "sturm_isolate",
-    "t_sum_congruence_check",
     "vertex_c",
 ]

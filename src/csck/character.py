@@ -23,10 +23,10 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 from typing import NamedTuple
 
-from .exact import InvariantViolation
+from .exact import InvariantViolation, to_integers
 from .polynomials import Exponent3, MultiPoly3, UniPoly, _add_scaled, _homogeneous_value, _powers, _times_line_power
 from .polynomials import int_power_table
 
@@ -239,13 +239,6 @@ def _prefactor(d: Dims, x, y, z):
     return d.m * (d.m + 2) * y * z + d.n * (d.n + 2) * x * z + 2 * x * y
 
 
-def _integral(coords) -> tuple[int, list[int]]:
-    """(L, L * coords) for the least L > 0 that makes every coordinate an integer."""
-    coords = [Fraction(v) for v in coords]
-    scale = lcm(*(c.denominator for c in coords))
-    return scale, [c.numerator * (scale // c.denominator) for c in coords]
-
-
 def obstruction_at(d: Dims, point) -> Fraction:
     """F at a rational point from the shape form, in O(m) products: at the
     point times its denominator L, over L^(m+n+4),
@@ -254,7 +247,7 @@ def obstruction_at(d: Dims, point) -> Fraction:
 
     with Q = :func:`_prefactor`, G = sum_k g_k a^k b^(m-k) and H likewise
     (:func:`_shape_weights`)."""
-    scale, (x, y, z) = _integral(point)
+    scale, (x, y, z) = to_integers(point)
     total = 0
     for (a, b), (wg, wh) in zip(((x - z, y), (x, y - z)), _shape_weights(d)):
         inner = x * y * z * _homogeneous_value(wh, a, b) - _prefactor(d, x, y, z) * b * _homogeneous_value(wg, a, b)
@@ -270,7 +263,7 @@ def obstruction_on_line(d: Dims, start, end) -> UniPoly:
     the power table of its second.  The result is those integers over
     L^(m+n+4).
     """
-    scale, coords = _integral((*start, *end))
+    scale, coords = to_integers((*start, *end))
     (x0, y0, z0), (x1, y1, z1) = p0, p1 = coords[:3], [b - a for a, b in zip(coords[:3], coords[3:])]
     if not any(p1):
         raise ValueError("coincident line endpoints")

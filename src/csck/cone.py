@@ -23,10 +23,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, NamedTuple
 
-from .character import Dims, KahlerClass, _integral, anticanonical_class
+from .character import Dims, KahlerClass, anticanonical_class
 from .character import obstruction_at, obstruction_on_line
-from .exact import InvariantViolation, binomial, sign
-from .polynomials import RootInterval, UniPoly, _exact_quotient, sturm_isolate
+from .exact import InvariantViolation, binomial, sign, to_integers
+from .polynomials import DEFAULT_WIDTH, RootInterval, UniPoly, _exact_quotient, sturm_isolate
 
 REGION_INSIDE = "inside"
 REGION_BOUNDARY = "boundary"
@@ -34,8 +34,6 @@ REGION_OUTSIDE = "outside"
 REGION_NOT_NORMALIZABLE = "not-normalizable"
 
 SIGN_NAMES = {-1: "negative", 0: "zero", 1: "positive"}
-
-DEFAULT_WIDTH = Fraction(1, 2**20)
 
 # The narrowest isolation width a command accepts; each halving below the
 # default lengthens the rationals every sign evaluation multiplies.
@@ -197,7 +195,7 @@ def isolate_on_segment(
     # the restriction is exact, so its values at t = 0 and 1 are F at the ends
     sign_start = sign(restricted.evaluate(0))
     sign_end = sign(restricted.evaluate(1))
-    _, coords = _integral((*start, *end))
+    _, coords = to_integers((*start, *end))
     points = list(zip(coords[:3], coords[3:]))
     z0, z1 = points[2]
     if z0 != z1 and z0 * z1 > 0 and (sign_end or z0 * (3 * z1 - z0) > 0) and not restricted.is_zero():
@@ -263,7 +261,7 @@ _WITNESS_HALVINGS = 20
 def _search_signed_point(d: Dims, start: KahlerClass, end: KahlerClass, wanted: int) -> KahlerClass | None:
     # walk t = 1/8, 1/16, ... toward the segment start; F is homogeneous, so
     # each probe is the point at t = 1/2^k times 2^k L > 0, in integers
-    _, coords = _integral((*start, *end))
+    _, coords = to_integers((*start, *end))
     for k in range(3, 3 + _WITNESS_HALVINGS):
         if sign_at(d, KahlerClass(*((2**k - 1) * a + b for a, b in zip(coords[:3], coords[3:])))) == wanted:
             return _point_on_segment(start, end, Fraction(1, 2**k))

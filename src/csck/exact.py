@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterable
 
 
 class InvariantViolation(RuntimeError):
@@ -38,6 +39,17 @@ def factorial(n: int) -> int:
     if n < 0:
         raise ValueError(f"factorial of negative integer {n}")
     return math.factorial(n)
+
+
+def to_integers(values: Iterable) -> tuple[int, list[int]]:
+    """(L, L * values) for the least L > 0 that makes every value an integer.
+
+    ``int`` and ``Fraction`` values are read as they stand; any other value
+    goes through ``Fraction`` first.
+    """
+    vs = [v if type(v) is int or type(v) is Fraction else Fraction(v) for v in values]
+    scale = math.lcm(*(v.denominator for v in vs))
+    return scale, [v.numerator * (scale // v.denominator) for v in vs]
 
 
 def parse_rational(text: str) -> Fraction:

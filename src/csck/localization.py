@@ -27,11 +27,11 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
-from .character import Dims, FixedComponent, InvariantViolation, _check_eps, localized_component_poly
-from .exact import binomial
+from .character import Dims, FixedComponent, InvariantViolation, _check_eps, _component_value
+from .exact import binomial, to_integers
 from .polynomials import TruncSeries2
 
 
@@ -69,7 +69,6 @@ class SeriesContext(NamedTuple):
     gamma: int
 
 
-@lru_cache(maxsize=64)
 def _shifted_binomial(e_x: int, e_y: int, cap: int) -> TruncSeries2:
     """(1 + x)^e_x (1 + y)^e_y - 1, truncated past total degree cap."""
     return TruncSeries2.binomial_series(e_x, e_y, cap) - TruncSeries2.constant(1, cap)
@@ -163,13 +162,12 @@ class CycloElement:
 
     def __init__(self, p: int, coeffs: Sequence[Fraction | int] = ()):
         _require_odd_prime(p)
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > p - 1:
-            raise ValueError("coefficient vector longer than p - 1")
         # over the lcm of lowest-terms denominators the vector is in lowest terms
-        den = lcm(*(c.denominator for c in cs))
+        den, nums = to_integers(coeffs)
+        if len(nums) > p - 1:
+            raise ValueError("coefficient vector longer than p - 1")
         self.p, self.den = p, den
-        self.nums = tuple(c.numerator * (den // c.denominator) for c in cs) + (0,) * (p - 1 - len(cs))
+        self.nums = tuple(nums) + (0,) * (p - 1 - len(nums))
 
     @classmethod
     def _make(cls, p: int, nums: Sequence[int], den: int) -> "CycloElement":
@@ -374,8 +372,8 @@ def t_sum_congruence_check(p: int, fc: FixedComponent, eps: int, zeta: int) -> C
     d = fc.dims
     sums = _root_sums(p, d, zeta * fc.kappa - eps * fc.r, fc.delta)
     total = _extraction_sum(ctx, ((s, j, w) for s, row in enumerate(sums) for j, w in enumerate(row)))
-    reference = localized_component_poly(fc, eps).evaluate(zeta)
-    passed = (total - int(reference)) % p == 0
+    reference = _component_value(fc, eps, zeta)
+    passed = (total - reference) % p == 0
     return CheckResult(
         "t_sum_congruence",
         passed,

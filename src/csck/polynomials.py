@@ -36,7 +36,7 @@ from math import gcd, isqrt, lcm
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .exact import InvariantViolation, general_binomial
+from .exact import InvariantViolation, general_binomial, to_integers
 
 Exponent3 = tuple[int, int, int]
 
@@ -174,12 +174,9 @@ class MultiPoly3:
         """p(point), summed in integers over the common denominator of the
         coefficients and of the point; no homogeneity is assumed.  An
         integral point needs no padding powers of that denominator."""
-        px, py, pz = (v if type(v) is Fraction else Fraction(v) for v in point)
+        scale, (px, py, pz) = to_integers(point)
         den, top, (mx, my, mz), terms = self._integer_form()
-        scale = lcm(px.denominator, py.denominator, pz.denominator)
-        xs = _powers(px.numerator * (scale // px.denominator), mx)
-        ys = _powers(py.numerator * (scale // py.denominator), my)
-        zs = _powers(pz.numerator * (scale // pz.denominator), mz)
+        xs, ys, zs = _powers(px, mx), _powers(py, my), _powers(pz, mz)
         if scale == 1:
             return Fraction(sum(c * xs[ex] * ys[ey] * zs[ez] for ex, ey, ez, _, c in terms), den)
         pads = _powers(scale, top)
@@ -201,17 +198,16 @@ class MultiPoly3:
         one row is live at a time.  The L padding means no homogeneity is
         assumed.  The result is those integers over den * L^D.
         """
-        s = [Fraction(v) for v in start]
-        e = [Fraction(v) for v in end]
+        s, e = list(start), list(end)
         if len(s) != 3 or len(e) != 3:
             raise ValueError("line endpoints must have three coordinates")
-        if s == e:
+        scale, coords = to_integers(s + e)
+        if coords[:3] == coords[3:]:
             raise ValueError("coincident line endpoints")
         if self.is_zero():
             return UniPoly(())
         den, top, max_e, terms = self._integer_form()
-        scale = lcm(*(v.denominator for v in s + e))
-        (x0, x1), (y0, y1), (z0, z1) = [(int(si * scale), int((ei - si) * scale)) for si, ei in zip(s, e)]
+        (x0, x1), (y0, y1), (z0, z1) = [(a, b - a) for a, b in zip(coords[:3], coords[3:])]
         xs = int_power_table(x0, x1, max_e[0])
         pads = _powers(scale, top)
 
@@ -298,12 +294,11 @@ class UniPoly:
     __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [c if type(c) is int else Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
         # over the lcm of lowest-terms denominators the numerators are in lowest terms
-        den = lcm(*(c.denominator for c in cs))
-        self.nums, self.den = tuple(c.numerator * (den // c.denominator) for c in cs), den
+        den, nums = to_integers(coeffs)
+        while nums and not nums[-1]:
+            nums.pop()
+        self.nums, self.den = tuple(nums), den
 
     @classmethod
     def _make(cls, nums: list[int], den: int = 1) -> "UniPoly":
@@ -736,8 +731,7 @@ def _descartes_bound(coeffs: list[int], a: Fraction, b: Fraction) -> int:
     b = B/D the transform is sum c_i (B + A y)^i (D + D y)^(d - i), built by
     one homogeneous Horner pass in integers.
     """
-    den = lcm(a.denominator, b.denominator)
-    num_a, num_b = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    den, (num_a, num_b) = to_integers((a, b))
     acc = [coeffs[-1]]
     pascal = [1]  # (1 + y)^k
     den_pow = 1  # D^k
@@ -764,11 +758,15 @@ def _simple_roots_bound(coeffs: list[int], lo: Fraction, hi: Fraction) -> int | 
     return bound if bound <= 1 else None
 
 
+# The widest interval a root isolation returns unless a caller asks otherwise.
+DEFAULT_WIDTH = Fraction(1, 2**20)
+
+
 def sturm_isolate(
     p: UniPoly,
     lo: Fraction | int,
     hi: Fraction | int,
-    width: Fraction | int = Fraction(1, 2**20),
+    width: Fraction | int = DEFAULT_WIDTH,
 ) -> IsolationResult:
     """Isolate every distinct real root of p in (lo, hi].
 
@@ -851,8 +849,7 @@ def sturm_isolate(
     def descend(a: Fraction, b: Fraction, sa: int, sb: int) -> None:
         # (a, b] holds exactly one root, which is simple, and q(a) != 0; the
         # cells are (A/D, B/D) with one denominator D that doubles per halving
-        den = lcm(a.denominator, b.denominator)
-        num_a, num_b = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+        den, (num_a, num_b) = to_integers((a, b))
         while (num_b - num_a) * width.denominator > width.numerator * den:
             num_a, num_b, den = 2 * num_a, 2 * num_b, 2 * den
             mid = (num_a + num_b) >> 1

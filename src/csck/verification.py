@@ -235,7 +235,7 @@ def check_root_isolation() -> CheckResult:
         problems.append("endpoint signs not opposite")
     else:
         restricted = obstruction_on_line(d, positive, negative)
-        result = sturm_isolate(restricted, 0, 1, Fraction(1, 2**20))
+        result = sturm_isolate(restricted, 0, 1)
         squarefree = square_free_part(restricted)
         if not result.intervals:
             problems.append("no isolating interval")

@@ -576,15 +576,17 @@ def test_lazy_package_names_resolve():
     code = (
         "import json, sys, csck\n"
         "before = 'csck.localization' in sys.modules\n"
-        "from csck.localization import CycloElement\n"
+        # the verification routes are imported from csck.localization, not the root
+        "from csck.localization import (CheckResult, CycloElement, SeriesContext, build_series_context,"
+        " lambda_at_one, lambda_sum_check, series_component_value, t_sum_congruence_check)\n"
         "star = {}\n"
         "exec('from csck import *', star)\n"
-        "print(json.dumps([before, csck.CycloElement is CycloElement,"
+        "print(json.dumps([before,"
         " sorted(set(csck.__all__) - set(star)), sorted(set(csck.__all__) - set(dir(csck)))]))"
     )
     proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [False, True, [], []]
+    assert json.loads(proc.stdout) == [False, [], []]
     import csck
 
     with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):

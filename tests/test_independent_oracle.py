@@ -147,3 +147,29 @@ def test_lambda_limit_matches_sympy():
                         expr /= (t - 1) * (t**delta - 1) ** (j + 1)
                         limit = sympy.cancel(expr).subs(t, 1)
                         assert limit == lambda_at_one(d, s, j, c0, delta), (m, n, s, j, c0, delta)
+
+
+def _as_sympy(poly):
+    return sum(sympy.Rational(c.numerator, c.denominator) * X**a * Y**b * Z**e for (a, b, e), c in poly.terms())
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 3)])
+def test_g_and_h_give_the_momentum_construction(m, n):
+    # The momentum construction (Hwang and Singer, Trans. AMS 2002) with
+    # momentum u in [0, z] over the section with class (U, Y) = (x - z, y):
+    # Q is the volume density, QR is Q times the base's scalar curvature,
+    # V the volume, S the total scalar curvature with its two boundary
+    # terms, and P(z) the Futaki invariant, the profile at u = z.
+    u = sympy.symbols("u")
+    base_u, base_y = X - Z + u, Y - u
+    q = base_u**m * base_y**n
+    qr = m * (m + 1) * base_u ** (m - 1) * base_y**n + n * (n + 1) * base_u**m * base_y ** (n - 1)
+    volume = sympy.integrate(q, (u, 0, Z))
+    total = sympy.integrate(qr, (u, 0, Z)) + q.subs(u, 0) + q.subs(u, Z)
+    # V P(z), with P(z) = z Q(0) + int_0^z (z - u) (QR - (S/V) Q) du cleared of 1/V
+    futaki = volume * (Z * q.subs(u, 0) + sympy.integrate((Z - u) * qr, (u, 0, Z)))
+    futaki -= total * sympy.integrate((Z - u) * q, (u, 0, Z))
+    polys = compute_obstruction(Dims(m, n))
+    g, h = _as_sympy(polys.g), _as_sympy(polys.h)
+    scale = sympy.Rational(sympy.factorial(m) * sympy.factorial(n), sympy.factorial(m + n + 2))
+    assert sympy.expand(futaki + scale * (volume * h - total * g)) == 0
