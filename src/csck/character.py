@@ -27,8 +27,8 @@ from math import comb
 from typing import NamedTuple
 
 from .exact import InvariantViolation, to_integers
-from .polynomials import Exponent3, MultiPoly3, UniPoly, _add_scaled, _homogeneous_value, _powers, _times_line_power
-from .polynomials import int_power_table
+from .polynomials import Exponent3, MultiPoly3, UniPoly, _add_scaled, _forms_on_lines, _homogeneous_value, _powers
+from .polynomials import _times_line_power
 
 
 def _make_checked(cls, iterable):
@@ -124,7 +124,7 @@ def _add_shape(acc: dict[Exponent3, int], scale: int, e_x: int, e_y: int, shift_
         c = -c * (top - i) // (i + 1)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=None)
 def _shape_weights(d: Dims) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """((gu, hu), (gx, hx)): with U = x - z, X = x, Y = y, V = y - z and
     N = m + n + 2, g = sum_k gu_k U^k Y^(N-k) + gx_k X^k V^(N-k) and
@@ -259,9 +259,9 @@ def obstruction_on_line(d: Dims, start, end) -> UniPoly:
     """t -> F((1 - t) start + t end) from the shape form of :func:`obstruction_at`.
 
     Over the shared denominator L of the ends, x, y, z, U and V are integer
-    lines in t.  Each G or H is a homogeneous Horner in its first line over
-    the power table of its second.  The result is those integers over
-    L^(m+n+4).
+    lines in t.  G and H are a homogeneous Horner in their first line over
+    one power table of their second (:func:`_forms_on_lines`).  The result
+    is those integers over L^(m+n+4).
     """
     scale, coords = to_integers((*start, *end))
     (x0, y0, z0), (x1, y1, z1) = p0, p1 = coords[:3], [b - a for a, b in zip(coords[:3], coords[3:])]
@@ -272,12 +272,9 @@ def obstruction_on_line(d: Dims, start, end) -> UniPoly:
     m, q0, q2 = d.m, _prefactor(d, *p0), _prefactor(d, *p1)
     q = [q0, _prefactor(d, x0 + x1, y0 + y1, z0 + z1) - q0 - q2, q2]
     xyz = _times_line_power(_times_line_power([x0, x1], y0, y1, 1), z0, z1, 1)
-    forms, total = (((x0 - z0, x1 - z1), (y0, y1)), ((x0, x1), (y0 - z0, y1 - z1))), []
-    for ((a0, a1), b), (wg, wh) in zip(forms, _shape_weights(d)):
-        bpow, g, h = int_power_table(*b, m), [wg[m]], [wh[m]]
-        for k in range(m - 1, -1, -1):
-            g = [a0 * u + a1 * v + wg[k] * c for u, v, c in zip(g + [0], [0] + g, bpow[m - k])]
-            h = [a0 * u + a1 * v + wh[k] * c for u, v, c in zip(h + [0], [0] + h, bpow[m - k])]
+    lines, total = (((x0 - z0, x1 - z1), (y0, y1)), ((x0, x1), (y0 - z0, y1 - z1))), []
+    for (a, b), (wg, wh) in zip(lines, _shape_weights(d)):
+        g, h = _forms_on_lines(a, b, wg, wh)
         inner = [0] * (m + 4)
         for i, (c_h, c_g) in enumerate(zip(xyz, _times_line_power(q, *b, 1))):
             for k, (f_g, f_h) in enumerate(zip(g, h)):
@@ -316,15 +313,20 @@ def fixed_components(d: Dims, cls: KahlerClass) -> tuple[FixedComponent, FixedCo
     return first, second
 
 
+def _alternating_filter(k: int, coeffs: list[int]) -> int:
+    """sum_i (-1)^i C(k, i) P(k - 2i) for the integer polynomial P = coeffs."""
+    return sum((-1) ** i * comb(k, i) * _homogeneous_value(coeffs, k - 2 * i, 1) for i in range(k + 1))
+
+
 def alternating_power_sum(k: int, l: int) -> int:
-    """sum_i (-1)^i C(k, i) (k - 2i)^l.
+    """sum_i (-1)^i C(k, i) (k - 2i)^l: :func:`_alternating_filter` of t^l.
 
     Vanishes for 0 <= l < k and for l = k + 1, and equals 2^k k! at l = k:
     the derivative filter that extracts single coefficients during assembly.
     """
     if k < 0 or l < 0:
         raise ValueError("arguments must be non-negative")
-    return sum((-1) ** i * comb(k, i) * (k - 2 * i) ** l for i in range(k + 1))
+    return _alternating_filter(k, [0] * l + [1])
 
 
 _EPS_VALUES = (-1, 0, 1)
@@ -491,6 +493,6 @@ def assemble_from_localization(d: Dims, cls: KahlerClass) -> Fraction:
     s_minus, s_plus, s_zero = (_sum_coeffs(d, eps, cls) for eps in (-1, 1, 0))
     K = d.m + d.n
     diff = [a - b for a, b in zip(s_minus, s_plus)]
-    first = sum((-1) ** i * comb(K + 1, i) * _homogeneous_value(diff, K + 1 - 2 * i, 1) for i in range(K + 2))
-    second = sum((-1) ** i * comb(K + 2, i) * _homogeneous_value(s_zero, K + 2 - 2 * i, 1) for i in range(K + 3))
+    first = _alternating_filter(K + 1, diff)
+    second = _alternating_filter(K + 2, s_zero)
     return Fraction((K + 2) * lam * mu * nu * first - _prefactor(d, lam, mu, nu) * second)

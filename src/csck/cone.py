@@ -390,8 +390,6 @@ def _face_rows(d: Dims, r: int) -> Iterator[FaceSample]:
         row = obstruction_on_line(d, (i, 0, r - i), (i, 1, r - i - 1)).nums[::-1]
         for j in range(1, r - i):
             k = r - i - j
-            if i + j + k != r:
-                raise InvariantViolation(f"face point ({i}, {j}, {k}) does not sum to {r}")
             value = 0
             for c in row:
                 value = value * j + c

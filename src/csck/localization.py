@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .character import Dims, FixedComponent, InvariantViolation, _check_eps, _component_value
 from .exact import binomial, to_integers
-from .polynomials import TruncSeries2
+from .polynomials import TruncSeries2, _powers
 
 
 class CheckResult(namedtuple("CheckResult", ("name", "passed", "detail", "elapsed", "params"))):
@@ -84,22 +84,14 @@ def _fixed_powers(m: int, n: int, delta: int) -> tuple[TruncSeries2, ...]:
     """(1+x)^m (1+y)^n Phi^j for j = 0..m+n: neither factor depends on the
     class, eps or the evaluation point, only on (m, n, delta)."""
     cap = m + n
-    phi = _shifted_binomial(-delta, delta, cap)
-    powers = [TruncSeries2.binomial_series(m, n, cap)]
-    for _ in range(cap):
-        powers.append(powers[-1] * phi)
-    return tuple(powers)
+    return tuple(_powers(_shifted_binomial(-delta, delta, cap), cap, TruncSeries2.binomial_series(m, n, cap)))
 
 
 @lru_cache(maxsize=64)
 def _psi_powers(beta: int, gamma: int, cap: int) -> tuple[TruncSeries2, ...]:
     """The powers 0..cap of Psi = (1+x)^beta (1+y)^gamma - 1, shared by every
     context with these weights."""
-    psi = _shifted_binomial(beta, gamma, cap)
-    powers = [TruncSeries2.constant(1, cap)]
-    for _ in range(cap):
-        powers.append(powers[-1] * psi)
-    return tuple(powers)
+    return tuple(_powers(_shifted_binomial(beta, gamma, cap), cap, TruncSeries2.constant(1, cap)))
 
 
 def _extraction_sum(ctx: SeriesContext, weights: Iterable[tuple[int, int, int]]) -> int:
@@ -276,16 +268,11 @@ def _lambda_row(p: int, k: int, d: Dims, c0: int, delta: int) -> list[list[Cyclo
     root are cyclic, so negative exponents need no special casing."""
     one = CycloElement.rational(p, 1)
     top = d.m + d.n
-    base = CycloElement.root_power(p, k * c0) - one
-    base_pows = [one]
-    for _ in range(top + 2):
-        base_pows.append(base_pows[-1] * base)
+    base_pows = _powers(CycloElement.root_power(p, k * c0) - one, top + 2, one)
     root = CycloElement.root_power(p, k)
     inv = (root - one).inverse()
     step = inv if delta == 1 else -(root * inv)  # 1 / (alpha^(k delta) - 1)
-    den_invs = [inv * step]
-    for _ in range(top):
-        den_invs.append(den_invs[-1] * step)
+    den_invs = _powers(step, top, inv * step)
     row = []
     for s in range(top + 1):
         num = CycloElement.root_power(p, k * (s * c0 + delta)) * base_pows[top + 2 - s]

@@ -36,7 +36,7 @@ from math import gcd, isqrt, lcm
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .exact import InvariantViolation, general_binomial, to_integers
+from .exact import InvariantViolation, general_binomial, sign, to_integers
 
 Exponent3 = tuple[int, int, int]
 
@@ -242,9 +242,10 @@ class MultiPoly3:
         return f"MultiPoly3({dict(self.terms())!r})"
 
 
-def _powers(base: int, top: int) -> list[int]:
-    """base^0 .. base^top."""
-    table = [1]
+def _powers(base, top: int, first=1) -> list:
+    """first * base^0 .. first * base^top, each entry the one before times
+    base: for ``int``, ``TruncSeries2`` or ``CycloElement`` alike."""
+    table = [first]
     for _ in range(top):
         table.append(table[-1] * base)
     return table
@@ -254,12 +255,7 @@ def int_power_table(const: int, lin: int, top: int) -> list[list[int]]:
     """Powers 0..top of (const + lin*t) as integer coefficient lists."""
     table = [[1]]
     for _ in range(top):
-        prev = table[-1]
-        nxt = [0] * (len(prev) + 1)
-        for k, v in enumerate(prev):
-            nxt[k] += v * const
-            nxt[k + 1] += v * lin
-        table.append(nxt)
+        table.append(_times_line_power(table[-1], const, lin, 1))
     return table
 
 
@@ -279,6 +275,22 @@ def _times_line_power(p: list[int], const: int, lin: int, times: int) -> list[in
     for _ in range(times):
         p = [const * u + lin * v for u, v in zip(p + [0], [0] + p)]
     return p
+
+
+def _forms_on_lines(a: Sequence[int], b: Sequence[int], *forms: Sequence[int]) -> list[list[int]]:
+    """sum_k c_k A^k B^(d-k) for each binary form c_0..c_d, on the integer
+    lines A = a[0] + a[1] t and B = b[0] + b[1] t, as integer coefficient
+    lists: a homogeneous Horner in A over one power table of B."""
+    b_pows = int_power_table(*b, max(len(f) for f in forms) - 1)
+    a0, a1 = a
+    out = []
+    for form in forms:
+        top = len(form) - 1
+        acc = [form[top]]
+        for k in range(top - 1, -1, -1):
+            acc = [a0 * u + a1 * v + form[k] * c for u, v, c in zip(acc + [0], [0] + acc, b_pows[top - k])]
+        out.append(acc)
+    return out
 
 
 class UniPoly:
@@ -337,9 +349,7 @@ class UniPoly:
         return tuple(Fraction(v, self.den) for v in self.nums)
 
     def __neg__(self) -> "UniPoly":
-        out = UniPoly.__new__(UniPoly)
-        out.nums, out.den = tuple(-v for v in self.nums), self.den
-        return out
+        return UniPoly._make([-v for v in self.nums], self.den)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, UniPoly) and self.nums == other.nums and self.den == other.den
@@ -395,6 +405,15 @@ class TruncSeries2:
             else:
                 data.pop(e, None)
         self._terms = data
+
+    @classmethod
+    def _wrap(cls, truncation: int, data: dict[tuple[int, int], Fraction | int]) -> "TruncSeries2":
+        """Take ``data`` as the term map as it stands: exponent pairs of
+        degree <= truncation to nonzero ``int`` or ``Fraction`` coefficients.
+        Nothing is converted or checked."""
+        out = cls.__new__(cls)
+        out.truncation, out._terms = truncation, data
+        return out
 
     @classmethod
     def constant(cls, value: Fraction | int, truncation: int) -> "TruncSeries2":
@@ -460,10 +479,7 @@ class TruncSeries2:
                 data[e] = s
             else:
                 data.pop(e, None)
-        out = TruncSeries2.__new__(TruncSeries2)
-        out.truncation = self.truncation
-        out._terms = data
-        return out
+        return TruncSeries2._wrap(self.truncation, data)
 
     def __mul__(self, other: "TruncSeries2") -> "TruncSeries2":
         """The product, accumulated in a flat list indexed by i * (cap + 1) + j,
@@ -486,10 +502,7 @@ class TruncSeries2:
             base = a0 * width + a1
             for index, cb in theirs[: ends[cap - a0 - a1]]:
                 acc[base + index] += ca * cb
-        out = TruncSeries2.__new__(TruncSeries2)
-        out.truncation = cap
-        out._terms = {divmod(index, width): c for index, c in enumerate(acc) if c}
-        return out
+        return TruncSeries2._wrap(cap, {divmod(index, width): c for index, c in enumerate(acc) if c})
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -702,16 +715,16 @@ def _homogeneous_value(coeffs: list[int], num: int, den: int) -> int:
     return acc
 
 
-def _sign_at_rational(coeffs: list[int], num: int, den: int) -> int:
-    # sign of P(num/den) via the homogenized integer value (den > 0)
-    acc = _homogeneous_value(coeffs, num, den)
-    return (acc > 0) - (acc < 0)
+def _sign_changes(values: Iterable[int]) -> int:
+    """Sign changes along values, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
 
 def _variations_int(chain: Sequence[list[int]], at: Fraction) -> int:
+    # each den^d * P(at) has the sign of P(at), since den > 0
     num, den = at.numerator, at.denominator
-    signs = [s for s in (_sign_at_rational(c, num, den) for c in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return _sign_changes(_homogeneous_value(c, num, den) for c in chain)
 
 
 def count_roots(chain: Sequence[UniPoly], lo: Fraction, hi: Fraction) -> int:
@@ -728,32 +741,21 @@ def _descartes_bound(coeffs: list[int], a: Fraction, b: Fraction) -> int:
     y in (0, oo) maps onto x in (a, b), so by Descartes' rule of signs this
     bounds the roots of q in the open interval (a, b) from above, with the
     same parity: a bound of 0 or 1 is the exact count.  With a = A/D and
-    b = B/D the transform is sum c_i (B + A y)^i (D + D y)^(d - i), built by
-    one homogeneous Horner pass in integers.
+    b = B/D the transform is sum c_i D^(d-i) (B + A y)^i (1 + y)^(d-i), the
+    binary form c_i D^(d-i) on the lines B + A y and 1 + y, whose power
+    table is Pascal's triangle in small integers.
     """
     den, (num_a, num_b) = to_integers((a, b))
-    acc = [coeffs[-1]]
-    pascal = [1]  # (1 + y)^k
-    den_pow = 1  # D^k
-    for c in reversed(coeffs[:-1]):
-        shifted = [v * num_b for v in acc] + [0]
-        for k, v in enumerate(acc):
-            shifted[k + 1] += v * num_a
-        pascal = [1] + [u + v for u, v in zip(pascal, pascal[1:])] + [1]
-        den_pow *= den
-        scale = c * den_pow
-        if scale:
-            for k, v in enumerate(pascal):
-                shifted[k] += scale * v
-        acc = shifted
-    signs = [v > 0 for v in acc if v]
-    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+    top = len(coeffs) - 1
+    pads = _powers(den, top)
+    form = [c * pads[top - i] for i, c in enumerate(coeffs)]
+    return _sign_changes(_forms_on_lines((num_b, num_a), (1, 1), form)[0])
 
 
 def _simple_roots_bound(coeffs: list[int], lo: Fraction, hi: Fraction) -> int | None:
     """Descartes' bound of coeffs on (lo, hi) when it is 0 or 1 and coeffs is
     nonzero at lo and hi, so that every root in [lo, hi] is simple; else None."""
-    ends = all(_sign_at_rational(coeffs, v.numerator, v.denominator) for v in (lo, hi))
+    ends = all(_homogeneous_value(coeffs, v.numerator, v.denominator) for v in (lo, hi))
     bound = _descartes_bound(coeffs, lo, hi) if ends else 2
     return bound if bound <= 1 else None
 
@@ -803,7 +805,7 @@ def sturm_isolate(
     bound_cache: dict[tuple[Fraction, Fraction], int] = {} if bound is None else {(lo, hi): bound}
 
     def q_sign(at: Fraction) -> int:
-        return _sign_at_rational(q_int, at.numerator, at.denominator)
+        return sign(_homogeneous_value(q_int, at.numerator, at.denominator))
 
     def open_count(a: Fraction, b: Fraction) -> int:
         # exact root count on (a, b): cells with a bound of 2 or more are split
@@ -853,7 +855,7 @@ def sturm_isolate(
         while (num_b - num_a) * width.denominator > width.numerator * den:
             num_a, num_b, den = 2 * num_a, 2 * num_b, 2 * den
             mid = (num_a + num_b) >> 1
-            sm = _sign_at_rational(q_int, mid, den)
+            sm = sign(_homogeneous_value(q_int, mid, den))
             if sm == 0:
                 # the root is mid; the straddling interval stays inside (a, b)
                 rad = min(width, Fraction(num_b - mid, den)) / 2

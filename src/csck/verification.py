@@ -200,8 +200,7 @@ def check_vanishing_orders() -> CheckResult:
     bad = []
     for m, n in _backed_pairs():
         d = Dims(m, n)
-        a = (Fraction(1), Fraction(0), Fraction(0))
-        lines = ((a, cone.vertex_c(d)), ((Fraction(1, 2), Fraction(1, 2), Fraction(0)), (0, 0, 1)))
+        lines = ((cone._FACE_A, cone.vertex_c(d)), (cone._EDGE_MIDPOINT, cone._APEX))
         f_l1, f_l2 = (obstruction_on_line(d, *ends) for ends in lines)
         for name, f, ends in zip(("shape l1", "shape l2"), (f_l1, f_l2), lines):
             if f != compute_obstruction(d).F.restrict_to_line(*ends):

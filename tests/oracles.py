@@ -26,7 +26,10 @@ path against it term for term:
 * :func:`dict_series_product` multiplies truncated series pair of terms by
   pair of terms into a dict, popping every sum that cancels;
 * :func:`times_line_power_by_factors` multiplies a coefficient list by a
-  power of a linear form one factor at a time.
+  power of a linear form one factor at a time;
+* :func:`reference_descartes_bound` builds the Descartes transform by its
+  own homogeneous Horner pass, with Pascal rows and powers of the shared
+  denominator grown beside it.
 """
 from fractions import Fraction
 from math import lcm
@@ -308,3 +311,27 @@ def times_line_power_by_factors(p: list[int], const: int, lin: int, times: int) 
     for _ in range(times):
         p = [const * u + lin * v for u, v in zip(p + [0], [0] + p)]
     return p
+
+
+def reference_descartes_bound(coeffs: list[int], a: Fraction, b: Fraction) -> int:
+    """Sign variations of (1 + y)^d q((a y + b) / (1 + y)) for q = coeffs:
+    with a = A/D and b = B/D, sum c_i (B + A y)^i (D + D y)^(d - i), one
+    Horner step per coefficient."""
+    den = lcm(a.denominator, b.denominator)
+    num_a, num_b = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    acc = [coeffs[-1]]
+    pascal = [1]  # (1 + y)^k
+    den_pow = 1  # D^k
+    for c in reversed(coeffs[:-1]):
+        shifted = [v * num_b for v in acc] + [0]
+        for k, v in enumerate(acc):
+            shifted[k + 1] += v * num_a
+        pascal = [1] + [u + v for u, v in zip(pascal, pascal[1:])] + [1]
+        den_pow *= den
+        scale = c * den_pow
+        if scale:
+            for k, v in enumerate(pascal):
+                shifted[k] += scale * v
+        acc = shifted
+    signs = [v > 0 for v in acc if v]
+    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)

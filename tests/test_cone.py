@@ -325,6 +325,18 @@ class TestScan:
         capsys.readouterr()
         assert compute_obstruction.cache_info().misses == 0
 
+    def test_scan_never_forms_a_square_free_part(self, monkeypatch):
+        # every witness restriction is nonzero at t = 0 and 1 with a Descartes
+        # bound of 0 or 1 on (0, 1), so its roots there are simple and
+        # isolation skips the square-free part
+        def refuse(p):
+            raise AssertionError(f"square-free part formed for degree {p.degree}")
+
+        monkeypatch.setattr(polynomials, "square_free_part", refuse)
+        rows = scan_range(1, 12, 1, 12, all_pairs=True)
+        assert len(rows) == 144
+        assert all(row.sign_change_found for row in rows if row.m < row.n)
+
     def test_equal_dims_row(self):
         rows = scan_range(3, 3, 3, 3, all_pairs=True)
         assert len(rows) == 1

@@ -24,13 +24,15 @@ from csck.character import (
     localized_sum_poly,
     obstruction_on_line,
 )
-from csck.exact import general_binomial
+from csck.exact import general_binomial, sign
 from csck.polynomials import (
     MultiPoly3,
     TruncSeries2,
     UniPoly,
+    _descartes_bound,
+    _forms_on_lines,
+    _homogeneous_value,
     _pseudo_divmod,
-    _sign_at_rational,
     _times_line_power,
     _variations_int,
     count_roots,
@@ -39,7 +41,15 @@ from csck.polynomials import (
     sturm_chain,
     sturm_isolate,
 )
-from oracles import dict_series_product, poly_product, poly_sum, reference_restrict, times_line_power_by_factors
+from oracles import (
+    dict_series_product,
+    int_convolve,
+    poly_product,
+    poly_sum,
+    reference_descartes_bound,
+    reference_restrict,
+    times_line_power_by_factors,
+)
 
 # The golden 13-term polynomial for (m, n) = (1, 2), transcribed term by term.
 F_1_2 = MultiPoly3(
@@ -515,7 +525,7 @@ def _sturm_isolate_reference(p, lo, hi, width):
         return variations(a) - variations(b)
 
     def q_sign(at):
-        return _sign_at_rational(q_int, at.numerator, at.denominator)
+        return sign(_homogeneous_value(q_int, at.numerator, at.denominator))
 
     found = []
 
@@ -1055,3 +1065,42 @@ class TestTimesLinePowerAgainstFactors:
     )
     def test_edge_cases(self, p, const, lin, times):
         assert _times_line_power(list(p), const, lin, times) == times_line_power_by_factors(list(p), const, lin, times)
+
+
+_small_lines = st.tuples(st.one_of(st.just(0), st.integers(-6, 6)), st.integers(-6, 6))
+_small_forms = st.lists(st.integers(-9, 9), min_size=1, max_size=7)
+
+
+class TestFormsOnLinesAgainstExpansion:
+    """The two-line Horner kernel against sum c_k A^k B^(d-k) expanded by
+    convolutions, and the Descartes bound built on it against its own
+    Horner pass; lines with const = 0 take the shift branch of the powers."""
+
+    @staticmethod
+    def _expanded(form, a, b):
+        top = len(form) - 1
+        a_pows, b_pows = [[1]], [[1]]
+        for _ in range(top):
+            a_pows.append(int_convolve(a_pows[-1], list(a)))
+            b_pows.append(int_convolve(b_pows[-1], list(b)))
+        total = [0] * (top + 1)
+        for k, c in enumerate(form):
+            for i, v in enumerate(int_convolve(a_pows[k], b_pows[top - k])):
+                total[i] += c * v
+        return total
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_small_lines, _small_lines, st.lists(_small_forms, min_size=1, max_size=3))
+    def test_kernel_matches_expansion(self, a, b, forms):
+        assert _forms_on_lines(a, b, *forms) == [self._expanded(f, a, b) for f in forms]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        _small_forms,
+        st.fractions(min_value=-3, max_value=3, max_denominator=8),
+        st.one_of(st.just(Fraction(0)), st.fractions(min_value=-3, max_value=3, max_denominator=8)),
+    )
+    def test_descartes_bound_matches_reference(self, coeffs, u, v):
+        assume(u != v)
+        a, b = min(u, v), max(u, v)
+        assert _descartes_bound(coeffs, a, b) == reference_descartes_bound(coeffs, a, b)
