@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 from . import __version__, cone
 from .character import Dims, InvariantViolation, KahlerClass, compute_obstruction, obstruction_at, slope
 from .cone import DEFAULT_WIDTH, SIGN_NAMES
-from .exact import parse_rational, sign
+from .exact import parse_rational, shown, sign
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -34,11 +34,21 @@ EXIT_VERIFY = 4
 EXIT_BROKEN_PIPE = 141
 
 
+def _printable(what: str, *values: Fraction | None) -> None:
+    """Refuse, before any report line, a rational with more digits than ``str``
+    converts: ``sys.get_int_max_str_digits()``, where 0 is no limit."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # absent before Python 3.10.7
+    if limit and any(v is not None and max(abs(v.numerator), v.denominator) >= 10**limit for v in values):
+        raise ValueError(f"{what} exceeds the printable digit limit of {limit} digits")
+
+
 def _parse_class(text: str) -> KahlerClass:
     parts = text.split(",")
     if len(parts) != 3:
-        raise ValueError(f"expected three comma-separated coordinates, got {text!r}")
-    return KahlerClass(*(parse_rational(p) for p in parts))
+        raise ValueError(f"expected three comma-separated coordinates, got {shown(text)}")
+    cls = KahlerClass(*(parse_rational(p) for p in parts))
+    _printable("a class coordinate", *cls)
+    return cls
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -239,6 +249,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     cls = _parse_class(args.cls)
     value = obstruction_at(d, cls)
     mu = slope(d, cls) if cls.x * cls.y * cls.z != 0 else None
+    _printable("F or the slope", value, mu)
     region = cone.in_kahler_triangle(d, cls)
     if value != 0:
         csck: bool | None = False
@@ -303,7 +314,10 @@ def _cmd_locate(args: argparse.Namespace) -> int:
     start = _parse_class(args.start)
     end = _parse_class(args.end)
     width = _parse_width(args.width)
+    _printable("--width", width)
     report = cone.isolate_on_segment(d, start, end, width)
+    printed = (v for root in report.roots for v in (*root.interval, *root.midpoint_class))
+    _printable("a root interval or midpoint class", *printed)
     params = {
         "m": args.m,
         "n": args.n,

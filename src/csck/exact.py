@@ -52,6 +52,11 @@ def to_integers(values: Iterable) -> tuple[int, list[int]]:
     return scale, [v.numerator * (scale // v.denominator) for v in vs]
 
 
+def shown(text: str) -> str:
+    """``text`` for an error message: its repr, cut to 40 characters and its length when longer."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "P/Q", an integer or a decimal.
 
@@ -59,11 +64,11 @@ def parse_rational(text: str) -> Fraction:
     billion-digit integer before any size check could run.
     """
     if "e" in text.lower():
-        raise ValueError(f"not a rational (write P/Q, not exponent notation): {text!r}")
+        raise ValueError(f"not a rational (write P/Q, not exponent notation): {shown(text)}")
     try:
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+        raise ValueError(f"not a rational: {shown(text)}") from exc
     return value
 
 

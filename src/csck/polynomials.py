@@ -5,14 +5,18 @@ lists, so the three value types carry no ring algebra, only the steps the
 program runs:
 
 * :class:`MultiPoly3` -- sparse polynomials in (x, y, z) over the rationals,
-  a map from exponent triples to nonzero coefficients (``int`` when
-  integral): the expanded g, h and F that ``character`` prints and that
-  ``verify`` evaluates and restricts to lines, in integers over one
-  denominator, against the shape form.
+  a map from exponent triples to nonzero coefficients: the expanded g, h
+  and F that ``character`` prints and that ``verify`` evaluates and
+  restricts to lines, in integers over one denominator, against the shape
+  form.
 * :class:`UniPoly` -- dense univariate polynomials (line restrictions and the
   localized sums), held as integer numerators over one positive denominator.
 * :class:`TruncSeries2` -- bivariate power series truncated at a total
   degree, exact on every retained coefficient; they multiply and subtract.
+
+Both sparse types build their term maps with one builder, which sums
+repeated exponents, drops zero sums and holds an integral coefficient as
+``int``.
 
 Real roots of a ``UniPoly`` are isolated on its square-free part by dyadic
 bisection with Descartes' rule of signs; a Descartes bound of 0 or 1 on the
@@ -43,10 +47,6 @@ Exponent3 = tuple[int, int, int]
 _VARS3 = ("x", "y", "z")
 
 
-def _term_key(exponent: Sequence[int]):
-    return (sum(exponent), tuple(exponent))
-
-
 def _format_terms(terms: list[tuple[tuple[int, ...], Fraction]], names: Sequence[str]) -> str:
     if not terms:
         return "0"
@@ -71,37 +71,36 @@ def _format_terms(terms: list[tuple[tuple[int, ...], Fraction]], names: Sequence
     return " ".join(parts)
 
 
-def _int_if_integral(value: Fraction | int) -> Fraction | int:
-    """``value`` as an ``int`` when it is integral, else as a ``Fraction``."""
-    if type(value) is int:
-        return value
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
+def _term_map(terms: Mapping | Iterable, arity: int, truncation: int | None = None) -> dict:
+    """The term map of a ``Mapping`` or an iterable of (exponent, coefficient)
+    pairs: each exponent is checked as ``arity`` non-negative ints and, past
+    ``truncation`` when one is given, dropped; repeated exponents are summed,
+    zero sums dropped, and every integral sum is stored as ``int``."""
+    data: dict = {}
+    for exponent, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+        e = tuple(map(int, exponent))
+        if len(e) != arity or min(e) < 0:
+            raise ValueError(f"bad exponent {exponent!r}: expected {arity} non-negative integers")
+        if truncation is None or sum(e) <= truncation:
+            data[e] = data.get(e, 0) + (coeff if type(coeff) is int else Fraction(coeff))
+    return {e: c.numerator if c.denominator == 1 else c for e, c in data.items() if c}
+
+
+def _canonical_terms(data: dict) -> list:
+    """The terms of a term map in canonical order (graded lex, largest
+    first), with ``Fraction`` coefficients."""
+    return sorted(((e, Fraction(c)) for e, c in data.items()), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
 
 class MultiPoly3:
-    """Sparse exact polynomial in the Kahler-coordinate variables (x, y, z).
-
-    The constructor stores integral coefficients as ``int``; :meth:`terms`
-    and :meth:`coefficient` return ``Fraction``.
-    """
+    """Sparse exact polynomial in the Kahler-coordinate variables (x, y, z);
+    :meth:`terms` and :meth:`coefficient` return ``Fraction``."""
 
     # _int_form is filled on first evaluation or restriction
     __slots__ = ("_terms", "_int_form")
 
     def __init__(self, terms: Mapping[Exponent3, Fraction | int] | Iterable[tuple[Exponent3, Fraction | int]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        data: dict[Exponent3, Fraction | int] = {}
-        for exponent, coeff in items:
-            e = tuple(int(v) for v in exponent)
-            if len(e) != 3 or any(v < 0 for v in e):
-                raise ValueError(f"bad exponent triple {exponent!r}")
-            c = data.get(e, 0) + _int_if_integral(coeff)
-            if c:
-                data[e] = c
-            else:
-                data.pop(e, None)
-        self._terms = data
+        self._terms = _term_map(terms, 3)
 
     @classmethod
     def _wrap(cls, data: dict[Exponent3, Fraction | int]) -> "MultiPoly3":
@@ -122,7 +121,7 @@ class MultiPoly3:
 
     def terms(self) -> list[tuple[Exponent3, Fraction]]:
         """Terms in canonical order (graded lex, largest first)."""
-        return sorted(((e, Fraction(c)) for e, c in self._terms.items()), key=lambda t: _term_key(t[0]), reverse=True)
+        return _canonical_terms(self._terms)
 
     def coefficient(self, exponent: Sequence[int]) -> Fraction:
         return Fraction(self._terms.get(tuple(int(v) for v in exponent), 0))
@@ -381,8 +380,8 @@ class TruncSeries2:
     Arithmetic is exact on the retained range: the stored coefficient of any
     monomial of total degree <= truncation equals the true coefficient of the
     represented product.  Binary operations demand equal truncation degrees.
-    Integral coefficients are stored as ``int``, so integral series multiply
-    in integers; :meth:`coefficient` and :meth:`terms` return ``Fraction``.
+    Integral series multiply in integers; :meth:`coefficient` and
+    :meth:`terms` return ``Fraction``.
     """
 
     __slots__ = ("truncation", "_terms")
@@ -391,20 +390,7 @@ class TruncSeries2:
         if truncation < 0:
             raise ValueError("truncation degree must be non-negative")
         self.truncation = truncation
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        data: dict[tuple[int, int], Fraction | int] = {}
-        for exponent, coeff in items:
-            e = (int(exponent[0]), int(exponent[1]))
-            if e[0] < 0 or e[1] < 0:
-                raise ValueError(f"bad exponent pair {exponent!r}")
-            if e[0] + e[1] > truncation:
-                continue
-            c = data.get(e, 0) + _int_if_integral(coeff)
-            if c:
-                data[e] = c
-            else:
-                data.pop(e, None)
-        self._terms = data
+        self._terms = _term_map(terms, 2, truncation)
 
     @classmethod
     def _wrap(cls, truncation: int, data: dict[tuple[int, int], Fraction | int]) -> "TruncSeries2":
@@ -437,7 +423,7 @@ class TruncSeries2:
         return not self._terms
 
     def terms(self) -> list[tuple[tuple[int, int], Fraction]]:
-        return sorted(((e, Fraction(c)) for e, c in self._terms.items()), key=lambda t: _term_key(t[0]), reverse=True)
+        return _canonical_terms(self._terms)
 
     def _retained(self, exponent: Sequence[int]) -> tuple[int, int]:
         e = (int(exponent[0]), int(exponent[1]))
@@ -857,9 +843,8 @@ def sturm_isolate(
             mid = (num_a + num_b) >> 1
             sm = sign(_homogeneous_value(q_int, mid, den))
             if sm == 0:
-                # the root is mid; the straddling interval stays inside (a, b)
-                rad = min(width, Fraction(num_b - mid, den)) / 2
-                emit(Fraction(mid, den) - rad, Fraction(mid, den) + rad)
+                # the root is mid; the straddling interval stays inside the cell
+                emit_around(Fraction(mid, den), Fraction(num_a, den), Fraction(num_b, den))
                 return
             if sm != sa:
                 num_b, sb = mid, sm

@@ -29,8 +29,12 @@ path against it term for term:
   power of a linear form one factor at a time;
 * :func:`reference_descartes_bound` builds the Descartes transform by its
   own homogeneous Horner pass, with Pascal rows and powers of the shared
-  denominator grown beside it.
+  denominator grown beside it;
+* :func:`reference_poly_terms` and :func:`reference_series_terms` are the
+  term-map loops of the ``MultiPoly3`` and ``TruncSeries2`` constructors,
+  one per type, each converting a coefficient before it is summed.
 """
+from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
 
@@ -300,10 +304,7 @@ def dict_series_product(a: TruncSeries2, b: TruncSeries2) -> TruncSeries2:
                 data[e] = s
             else:
                 data.pop(e, None)
-    out = TruncSeries2.__new__(TruncSeries2)
-    out.truncation = cap
-    out._terms = data
-    return out
+    return TruncSeries2._wrap(cap, data)
 
 
 def times_line_power_by_factors(p: list[int], const: int, lin: int, times: int) -> list[int]:
@@ -335,3 +336,47 @@ def reference_descartes_bound(coeffs: list[int], a: Fraction, b: Fraction) -> in
         acc = shifted
     signs = [v > 0 for v in acc if v]
     return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+
+def _int_if_integral(value):
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def reference_poly_terms(terms) -> dict:
+    """The term map ``MultiPoly3(terms)`` stored, by its own loop: a sum of
+    converted coefficients is stored as it comes out, so two halves leave
+    ``Fraction(1, 1)``."""
+    items = terms.items() if isinstance(terms, Mapping) else terms
+    data = {}
+    for exponent, coeff in items:
+        e = tuple(int(v) for v in exponent)
+        if len(e) != 3 or any(v < 0 for v in e):
+            raise ValueError(f"bad exponent triple {exponent!r}")
+        c = data.get(e, 0) + _int_if_integral(coeff)
+        if c:
+            data[e] = c
+        else:
+            data.pop(e, None)
+    return data
+
+
+def reference_series_terms(truncation: int, terms) -> dict:
+    """The term map ``TruncSeries2(truncation, terms)`` stored, by its own
+    loop, which read the first two entries of each exponent."""
+    items = terms.items() if isinstance(terms, Mapping) else terms
+    data = {}
+    for exponent, coeff in items:
+        e = (int(exponent[0]), int(exponent[1]))
+        if e[0] < 0 or e[1] < 0:
+            raise ValueError(f"bad exponent pair {exponent!r}")
+        if e[0] + e[1] > truncation:
+            continue
+        c = data.get(e, 0) + _int_if_integral(coeff)
+        if c:
+            data[e] = c
+        else:
+            data.pop(e, None)
+    return data

@@ -213,6 +213,47 @@ def test_exponent_notation_is_usage_error_at_once():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "limit, argv, what",
+    [
+        (4300, ("evaluate", "-m", "9", "-n", "10", "--class", f"{'7' * 1000},1,1", "--no-meta"), "F or the slope"),
+        (640, ("evaluate", "-m", "9", "-n", "10", "--class", f"{'7' * 200},1,1", "--format", "text"), "F or the slope"),
+        (
+            4300,
+            ("locate", "-m", "1", "-n", "2", "--from", "1,1,1", "--to", f"{'7' * 4295},1,-1"),
+            "a root interval or midpoint class",
+        ),
+        # a decimal's two digit runs each parse, but their numerator is twice as long
+        (4300, ("evaluate", "-m", "1", "-n", "2", "--class", f"{'7' * 4000}.{'3' * 4000},1,1"), "a class coordinate"),
+        (4300, (*LOCATE_SEGMENT, "--width", f"{'7' * 4000}.{'3' * 4000}", "--format", "text"), "--width"),
+    ],
+    ids=["evaluate-F", "evaluate-F-lowered-limit", "locate-midpoint", "decimal-class", "decimal-width"],
+)
+def test_result_past_printable_digit_limit_is_usage_error(capsys, limit, argv, what):
+    # the limit is read when the command runs, as PYTHONINTMAXSTRDIGITS or the interpreter set it
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == 2
+    assert out == ""
+    assert f"{what} exceeds the printable digit limit of {limit} digits" in err
+    assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize(
+    "cls, length", [(f"{'7' * 4301},1,1", 4301), (f"{'7' * 4301},1", 4303)], ids=["coordinate", "class"]
+)
+def test_rejected_argument_is_echoed_cut_short(capsys, cls, length):
+    code, out, err = run(capsys, "evaluate", "-m", "1", "-n", "2", "--class", cls)
+    assert code == 2
+    assert out == ""
+    assert f"'{'7' * 40}'... ({length} characters)" in err
+    assert len(err) < 200
+
+
 def test_huge_resolution_is_usage_error_at_once():
     # sample_face streams its rows, but an uncapped 10^9 would still write for days
     src = Path(__file__).resolve().parent.parent / "src"

@@ -47,7 +47,9 @@ from oracles import (
     poly_product,
     poly_sum,
     reference_descartes_bound,
+    reference_poly_terms,
     reference_restrict,
+    reference_series_terms,
     times_line_power_by_factors,
 )
 
@@ -615,6 +617,16 @@ class TestIsolationAgainstSturm:
         got = _interval_tuple(sturm_isolate(p, 0, 1, Fraction(1, 8)))
         assert got == _sturm_isolate_reference(p, 0, 1, Fraction(1, 8)) == (cell,)
 
+    def test_straddles_around_probed_roots_are_pinned(self):
+        # descend probes the exact dyadic root 3/8; the second case also straddles the end root t = 1
+        near_3_8 = (Fraction(786431, 2097152), Fraction(786433, 2097152))
+        near_1 = (Fraction(2097151, 2097152), Fraction(2097153, 2097152))
+        for coeffs, expected in (([-3, 8], (near_3_8,)), ([3, -11, 8], (near_3_8, near_1))):
+            p = UniPoly(coeffs)
+            got = _interval_tuple(sturm_isolate(p, 0, 1))
+            assert got == expected
+            assert got == _sturm_isolate_reference(p, 0, 1, polynomials.DEFAULT_WIDTH)
+
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(_isolation_cases())
     def test_fast_and_slow_paths_agree(self, case):
@@ -1034,6 +1046,65 @@ class TestFlatSeriesProductAgainstDict:
         for cap in range(3):
             empty, one = TruncSeries2(cap, {}), TruncSeries2.constant(1, cap)
             assert (empty * one).is_zero() and (one * empty).is_zero()
+
+
+# a small set, so that repeated exponents often cancel or sum to an integer; Fraction(4, 2) is integral
+_TERM_COEFFS = st.sampled_from((1, -1, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(2, 3), Fraction(4, 2)))
+
+
+@st.composite
+def _term_inputs(draw, arity):
+    """Pairs on a pool of one or two exponents of ``arity`` entries in -1..3
+    (a negative entry is a bad exponent), so exponents repeat, given as a
+    list of pairs or as the mapping they make."""
+    entry = st.sampled_from((0, 1, 2, 0, 1, 3, -1))
+    pool = draw(st.lists(st.tuples(*[entry] * arity), min_size=1, max_size=2))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pool), _TERM_COEFFS), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        pairs.append((pairs[0][0], -pairs[0][1]))  # a sum that may cancel
+    return dict(pairs) if draw(st.booleans()) else pairs
+
+
+class TestTermMapAgainstConstructorLoops:
+    """The term-map builder both sparse types share, against the two
+    constructor loops it replaced: the same map, and an integral sum held
+    as ``int`` where a loop could leave ``Fraction(1, 1)``."""
+
+    @staticmethod
+    def _assert_same(build, reference, terms):
+        try:
+            expected = reference(terms)
+        except ValueError:
+            with pytest.raises(ValueError):
+                build(terms)
+            return
+        got = build(terms)._terms
+        assert got == expected
+        for e, c in got.items():
+            assert type(c) is (int if expected[e].denominator == 1 else Fraction), (e, c)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_term_inputs(3))
+    def test_multipoly_matches_loop(self, terms):
+        self._assert_same(MultiPoly3, reference_poly_terms, terms)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_term_inputs(2), st.integers(0, 4))
+    def test_series_matches_loop(self, terms, cap):
+        self._assert_same(lambda t: TruncSeries2(cap, t), lambda t: reference_series_terms(cap, t), terms)
+
+    def test_integral_sum_is_int(self):
+        halves = [((0, 0, 0), Fraction(1, 2))] * 2
+        assert type(reference_poly_terms(halves)[(0, 0, 0)]) is Fraction
+        assert MultiPoly3(halves)._terms == {(0, 0, 0): 1}
+        assert type(MultiPoly3(halves)._terms[(0, 0, 0)]) is int
+        assert type(TruncSeries2(1, [((1, 0), Fraction(3, 2)), ((1, 0), Fraction(1, 2))])._terms[(1, 0)]) is int
+
+    def test_exponent_of_wrong_length_is_refused(self):
+        for build, arity in ((MultiPoly3, 3), (lambda t: TruncSeries2(4, t), 2)):
+            for length in (1, arity - 1, arity + 1):
+                with pytest.raises(ValueError):
+                    build({(1,) + (0,) * (length - 1): 1})
 
 
 class TestTimesLinePowerAgainstFactors:
